@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,24 +29,16 @@ EXIT_DATA = 4
 
 
 def _default_workers() -> int:
-    return int(os.environ.get("TOMOPICK_THREADS", "1"))
+    raw = os.environ.get("TOMOPICK_THREADS", "1")
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ConfigError(f"TOMOPICK_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _load_cfg(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if getattr(args, "offset", None) is not None:
-        cfg = PipelineConfig(
-            spacing=cfg.spacing,
-            offset=args.offset,
-            classes=cfg.classes,
-            window=cfg.window,
-            xy_stride=cfg.xy_stride,
-            pad_to=cfg.pad_to,
-            z_window=cfg.z_window,
-            z_stride=cfg.z_stride,
-            nms_kernel=cfg.nms_kernel,
-            edge_floor=cfg.edge_floor,
-        )
+        cfg = replace(cfg, offset=args.offset)
     return cfg
 
 
@@ -228,9 +221,12 @@ def cmd_plan(args) -> int:
     cfg = _load_cfg(args)
     d, h, w = args.dims
     xy_stride = args.xy_stride if args.xy_stride else cfg.xy_stride
-    oy = tiler.plan_axis(cfg.pad_to, cfg.window, xy_stride)
-    ox = tiler.plan_axis(cfg.pad_to, cfg.window, xy_stride)
-    oz = tiler.plan_axis(d, cfg.z_window, cfg.z_stride)
+    plan = tiler.WindowPlan.build(
+        (d, cfg.pad_to, cfg.pad_to),
+        (cfg.z_window, cfg.window, cfg.window),
+        (cfg.z_stride, xy_stride, xy_stride),
+    )
+    oz, oy, ox = plan.origins_z, plan.origins_y, plan.origins_x
     print(f"volume {d} x {h} x {w}, XY padded to {cfg.pad_to}")
     print(f"XY windows: {len(oy)} x {len(ox)} (window {cfg.window}, stride {xy_stride})")
     print(f"Z windows: {len(oz)} (window {cfg.z_window}, stride {cfg.z_stride})")
@@ -324,13 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_USAGE
-    try:
-        return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,7 +8,7 @@ and unknown keys are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .coords import DEFAULT_OFFSET, ParticleClassSpec
 from .volgrid import DEFAULT_SPACING

@@ -4,9 +4,16 @@ activations and hand-derived backward passes.
 Tensors are (channels, depth, height, width) dense arrays. Layers carry their
 parameters and accumulated gradients in dicts so optimizers and checkpointing
 can address them by name. Every backward requires the matching forward's cache.
+
+One anisotropic `Conv` serves as per-slice 2D conv, strided depth conv and
+dense (dilated) 3D conv; the rest are depth pooling, pixel shuffle, nearest
+upsampling, SiLU, scSE attention and the multi-scale fusion block.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -57,145 +64,64 @@ class Layer:
         raise NotImplementedError
 
 
-class Conv2dPerSlice(Layer):
-    """Shared-weight 2D convolution applied to every depth slice (same padding)."""
+class Conv(Layer):
+    """Same-padded cross-correlation with a per-axis (depth, height, width)
+    kernel and stride and one dilation for all axes.
 
-    def __init__(self, cin, cout, ksize=3, stride=1, rng=None, dtype=np.float32):
+    Padding is dilation * (k // 2) per axis and the output extent is
+    ceil(n / stride), so (1, k, k) is a per-slice 2D conv, (k, 1, 1) a
+    depth-only conv and (k, k, k) a dense 3D conv. The stored weight drops the
+    unit axes of an anisotropic kernel: (cout, cin, k, k) for (1, k, k) and
+    (cout, cin, k) for (k, 1, 1); cubic kernels keep all three axes.
+    """
+
+    def __init__(self, cin, cout, kernel, stride=(1, 1, 1), dilation=1, rng=None, dtype=np.float32):
         super().__init__()
-        if ksize % 2 == 0:
-            raise ValueError("kernel size must be odd")
-        self.cin, self.cout, self.k, self.stride = cin, cout, ksize, stride
-        fan_in = cin * ksize * ksize
-        self.params["weight"] = _init_uniform(rng, (cout, cin, ksize, ksize), fan_in, dtype)
+        if any(k % 2 == 0 for k in kernel):
+            raise ValueError("kernel sizes must be odd")
+        self.cin, self.cout, self.dilation = cin, cout, dilation
+        self.kernel, self.stride = tuple(kernel), tuple(stride)
+        self.pad = tuple(dilation * (k // 2) for k in self.kernel)
+        cubic = len(set(self.kernel)) == 1
+        stored = self.kernel if cubic else tuple(k for k in self.kernel if k > 1)
+        fan_in = cin * math.prod(self.kernel)
+        self.params["weight"] = _init_uniform(rng, (cout, cin) + stored, fan_in, dtype)
         self.params["bias"] = np.zeros(cout, dtype=dtype)
         self.zero_grads()
 
-    def forward(self, x):
-        if x.shape[0] != self.cin:
-            raise ValueError(f"expected {self.cin} channels, got {x.shape[0]}")
-        k, s, p = self.k, self.stride, self.k // 2
-        c, d, h, w = x.shape
-        xd = np.moveaxis(x, 1, 0)  # (D, C, H, W): depth as batch
-        xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        win = win[:, :, ::s, ::s]  # (D, C, Ho, Wo, k, k)
-        wgt = self.params["weight"]
-        y = np.einsum("dchwij,ocij->dohw", win, wgt, optimize=True)
-        y += self.params["bias"][None, :, None, None]
-        self._cache = (win, x.shape)
-        return np.ascontiguousarray(np.moveaxis(y, 0, 1))
-
-    def backward(self, gy):
-        win, xshape = self._take_cache()
-        k, s, p = self.k, self.stride, self.k // 2
-        c, d, h, w = xshape
-        gyd = np.moveaxis(gy, 1, 0)  # (D, Cout, Ho, Wo)
-        self.grads["weight"] += np.einsum("dchwij,dohw->ocij", win, gyd, optimize=True)
-        self.grads["bias"] += gyd.sum(axis=(0, 2, 3))
-        ho, wo = gyd.shape[2], gyd.shape[3]
-        wgt = self.params["weight"]
-        gxp = np.zeros((d, c, h + 2 * p, w + 2 * p), dtype=gy.dtype)
-        for ki in range(k):
-            for kj in range(k):
-                contrib = np.einsum("dohw,oc->dchw", gyd, wgt[:, :, ki, kj], optimize=True)
-                gxp[:, :, ki : ki + s * ho : s, kj : kj + s * wo : s] += contrib
-        gx = gxp[:, :, p : p + h, p : p + w]
-        return np.ascontiguousarray(np.moveaxis(gx, 0, 1))
-
-
-class Conv3d(Layer):
-    """Dense 3D convolution, same padding, optional dilation. ksize may be 1."""
-
-    def __init__(self, cin, cout, ksize=3, dilation=1, rng=None, dtype=np.float32):
-        super().__init__()
-        if ksize % 2 == 0:
-            raise ValueError("kernel size must be odd")
-        self.cin, self.cout, self.k, self.dil = cin, cout, ksize, dilation
-        fan_in = cin * ksize**3
-        self.params["weight"] = _init_uniform(
-            rng, (cout, cin, ksize, ksize, ksize), fan_in, dtype
-        )
-        self.params["bias"] = np.zeros(cout, dtype=dtype)
-        self.zero_grads()
-
-    def forward(self, x):
-        if x.shape[0] != self.cin:
-            raise ValueError(f"expected {self.cin} channels, got {x.shape[0]}")
-        k, dil = self.k, self.dil
-        p = dil * (k // 2)
-        c, d, h, w = x.shape
-        xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
-        wgt = self.params["weight"]
-        y = np.zeros((self.cout, d, h, w), dtype=x.dtype)
-        for kd in range(k):
-            for kh in range(k):
-                for kw in range(k):
-                    sl = xp[:, kd * dil : kd * dil + d, kh * dil : kh * dil + h, kw * dil : kw * dil + w]
-                    y += np.einsum("cdhw,oc->odhw", sl, wgt[:, :, kd, kh, kw], optimize=True)
-        y += self.params["bias"][:, None, None, None]
-        self._cache = (xp, x.shape)
-        return y
-
-    def backward(self, gy):
-        xp, xshape = self._take_cache()
-        k, dil = self.k, self.dil
-        p = dil * (k // 2)
-        c, d, h, w = xshape
-        wgt = self.params["weight"]
-        gxp = np.zeros_like(xp)
-        for kd in range(k):
-            for kh in range(k):
-                for kw in range(k):
-                    sl = xp[:, kd * dil : kd * dil + d, kh * dil : kh * dil + h, kw * dil : kw * dil + w]
-                    self.grads["weight"][:, :, kd, kh, kw] += np.einsum(
-                        "odhw,cdhw->oc", gy, sl, optimize=True
-                    )
-                    gxp[
-                        :, kd * dil : kd * dil + d, kh * dil : kh * dil + h, kw * dil : kw * dil + w
-                    ] += np.einsum("odhw,oc->cdhw", gy, wgt[:, :, kd, kh, kw], optimize=True)
-        self.grads["bias"] += gy.sum(axis=(1, 2, 3))
-        return gxp[:, p : p + d, p : p + h, p : p + w]
-
-
-class DepthStridedConv(Layer):
-    """Depth-axis k=3 s=2 convolution: the pooling-replacement ablation path."""
-
-    def __init__(self, channels, rng=None, dtype=np.float32):
-        super().__init__()
-        self.channels = channels
-        self.params["weight"] = _init_uniform(rng, (channels, channels, 3), channels * 3, dtype)
-        self.params["bias"] = np.zeros(channels, dtype=dtype)
-        self.zero_grads()
-
-    def forward(self, x):
-        c, d, h, w = x.shape
-        if d % 2 != 0:
-            raise ValueError("strided depth conv requires even depth")
-        xp = np.pad(x, ((0, 0), (1, 1), (0, 0), (0, 0)))
-        do = d // 2
-        wgt = self.params["weight"]
-        y = np.zeros((c, do, h, w), dtype=x.dtype)
-        for kd in range(3):
-            sl = xp[:, kd : kd + 2 * do : 2]
-            y += np.einsum("cdhw,oc->odhw", sl, wgt[:, :, kd], optimize=True)
-        y += self.params["bias"][:, None, None, None]
-        self._cache = (xp, x.shape)
-        return y
-
-    def backward(self, gy):
-        xp, xshape = self._take_cache()
-        c, d, h, w = xshape
-        do = d // 2
-        wgt = self.params["weight"]
-        gxp = np.zeros_like(xp)
-        for kd in range(3):
-            sl = xp[:, kd : kd + 2 * do : 2]
-            self.grads["weight"][:, :, kd] += np.einsum("odhw,cdhw->oc", gy, sl, optimize=True)
-            gxp[:, kd : kd + 2 * do : 2] += np.einsum(
-                "odhw,oc->cdhw", gy, wgt[:, :, kd], optimize=True
+    def _taps(self, out):
+        """Each kernel tap with the strided slice of the padded input that it
+        multiplies into the (out)-shaped output grid."""
+        dil = self.dilation
+        for tap in itertools.product(*(range(k) for k in self.kernel)):
+            yield (slice(None), slice(None)) + tap, (slice(None),) + tuple(
+                slice(t * dil, t * dil + s * (o - 1) + 1, s) for t, s, o in zip(tap, self.stride, out)
             )
+
+    def forward(self, x):
+        if x.shape[0] != self.cin:
+            raise ValueError(f"expected {self.cin} channels, got {x.shape[0]}")
+        xp = np.pad(x, ((0, 0),) + tuple((p, p) for p in self.pad))
+        out = tuple(-(-n // s) for n, s in zip(x.shape[1:], self.stride))
+        wgt = self.params["weight"].reshape((self.cout, self.cin) + self.kernel)
+        y = np.zeros((self.cout,) + out, dtype=x.dtype)
+        for w_tap, x_tap in self._taps(out):
+            y += np.einsum("cdhw,oc->odhw", xp[x_tap], wgt[w_tap], optimize=True)
+        y += self.params["bias"][:, None, None, None]
+        self._cache = (xp, x.shape)
+        return y
+
+    def backward(self, gy):
+        xp, xshape = self._take_cache()
+        wgt = self.params["weight"].reshape((self.cout, self.cin) + self.kernel)
+        gw = self.grads["weight"].reshape(wgt.shape)
+        gxp = np.zeros_like(xp)
+        for w_tap, x_tap in self._taps(gy.shape[1:]):
+            gw[w_tap] += np.einsum("odhw,cdhw->oc", gy, xp[x_tap], optimize=True)
+            gxp[x_tap] += np.einsum("odhw,oc->cdhw", gy, wgt[w_tap], optimize=True)
         self.grads["bias"] += gy.sum(axis=(1, 2, 3))
-        return gxp[:, 1 : 1 + d]
+        (pd, ph, pw), (_, d, h, w) = self.pad, xshape
+        return gxp[:, pd : pd + d, ph : ph + h, pw : pw + w]
 
 
 class DepthPool(Layer):
@@ -269,15 +195,10 @@ class PixelShuffleHW(Layer):
 
 
 def upsample_nearest(x: np.ndarray, factors: tuple[int, int, int]) -> np.ndarray:
-    fz, fy, fx = factors
-    y = x
-    if fz > 1:
-        y = np.repeat(y, fz, axis=1)
-    if fy > 1:
-        y = np.repeat(y, fy, axis=2)
-    if fx > 1:
-        y = np.repeat(y, fx, axis=3)
-    return y
+    for axis, f in enumerate(factors, start=1):
+        if f > 1:
+            x = np.repeat(x, f, axis=axis)
+    return x
 
 
 def upsample_nearest_backward(gy: np.ndarray, factors: tuple[int, int, int]) -> np.ndarray:
@@ -382,29 +303,23 @@ class FusionBlock(Layer):
             raise ValueError("fusion needs at least 2 feature maps")
         self.in_channels = list(in_channels)
         cat = sum(in_channels)
-        self.branches = [Conv3d(cat, mid, 3, dilation=dl, rng=rng, dtype=dtype) for dl in self.DILATIONS]
+        self.branches = [Conv(cat, mid, (3, 3, 3), dilation=dl, rng=rng, dtype=dtype) for dl in self.DILATIONS]
         self.acts = [SiLU() for _ in self.DILATIONS]
-        self.proj = Conv3d(mid * len(self.DILATIONS), out, 1, rng=rng, dtype=dtype)
+        self.proj = Conv(mid * len(self.DILATIONS), out, (1, 1, 1), rng=rng, dtype=dtype)
         self._collect_params()
 
+    def _sublayers(self):
+        return [(f"branch{i}", br) for i, br in enumerate(self.branches)] + [("proj", self.proj)]
+
     def _collect_params(self):
-        self.params = {}
-        for i, br in enumerate(self.branches):
-            for k, v in br.params.items():
-                self.params[f"branch{i}.{k}"] = v
-        for k, v in self.proj.params.items():
-            self.params[f"proj.{k}"] = v
+        self.params = {f"{n}.{k}": v for n, layer in self._sublayers() for k, v in layer.params.items()}
         self.zero_grads()
 
     def zero_grads(self):
         self.grads = {}
-        for i, br in enumerate(self.branches):
-            br.zero_grads()
-            for k in br.params:
-                self.grads[f"branch{i}.{k}"] = br.grads[k]
-        self.proj.zero_grads()
-        for k in self.proj.params:
-            self.grads[f"proj.{k}"] = self.proj.grads[k]
+        for n, layer in self._sublayers():
+            layer.zero_grads()
+            self.grads.update((f"{n}.{k}", g) for k, g in layer.grads.items())
 
     def forward(self, xs: list[np.ndarray]):
         if len(xs) != len(self.in_channels):

@@ -7,7 +7,7 @@ prediction index, then ground-truth index); each endpoint matches at most once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,7 +6,7 @@ shuffle back to full window resolution.
 
 Variant B: three per-slice 2D stages (depth halved twice, then preserved with
 k3 s1 p1 depth pooling), multi-scale dilated fusion of the three stage
-outputs, and a decoder of conv3d + scSE upsampling blocks.
+outputs, and a decoder of 3x3x3 conv + scSE upsampling blocks.
 
 These are deliberately tiny stand-ins for the pretrained 2D backbones used at
 full scale; widths and depths are configuration, not a reconstruction.
@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import layers as L
+
+# Conv kernels and strides, per axis (depth, height, width).
+SLICE, DEPTH, CUBE, POINT = (1, 3, 3), (3, 1, 1), (3, 3, 3), (1, 1, 1)
+HALVE_HW, HALVE_D = (1, 2, 2), (2, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,6 @@ class NetConfig:
     seed: int = 0
     dtype: str = "float32"
     strided_depth_pool: bool = False  # ablation: replace depth halving with strided conv
-    frozen: tuple[str, ...] = ()  # parameter-name prefixes excluded from training
 
     def __post_init__(self):
         if self.variant not in ("A", "B"):
@@ -87,22 +90,11 @@ class ToyNet:
                 out[f"{lname}.{pname}"] = arr
         return out
 
-    def trainable_params(self) -> dict[str, np.ndarray]:
-        frozen = self.config.frozen
-        return {
-            k: v
-            for k, v in self.named_params().items()
-            if not any(k.startswith(pre) for pre in frozen)
-        }
-
     def named_grads(self) -> dict[str, np.ndarray]:
         out = {}
-        frozen = self.config.frozen
         for lname, layer in self._layers.items():
             for pname, arr in layer.grads.items():
-                name = f"{lname}.{pname}"
-                if not any(name.startswith(pre) for pre in frozen):
-                    out[name] = arr
+                out[f"{lname}.{pname}"] = arr
         return out
 
     def zero_grads(self):
@@ -145,24 +137,24 @@ class VariantANet(ToyNet):
         w0, w1, w2 = config.widths[:3]
         c = config.class_count
         reg = self._register
-        self.stem = reg("stem", L.Conv2dPerSlice(1, w0, 3, 1, rng, dt))
+        self.stem = reg("stem", L.Conv(1, w0, SLICE, rng=rng, dtype=dt))
         self.act0 = reg("act0", L.SiLU())
-        self.s1 = reg("s1", L.Conv2dPerSlice(w0, w1, 3, 2, rng, dt))
+        self.s1 = reg("s1", L.Conv(w0, w1, SLICE, HALVE_HW, rng=rng, dtype=dt))
         self.act1 = reg("act1", L.SiLU())
         if config.strided_depth_pool:
-            self.dp1 = reg("dp1", L.DepthStridedConv(w1, rng, dt))
+            self.dp1 = reg("dp1", L.Conv(w1, w1, DEPTH, HALVE_D, rng=rng, dtype=dt))
         else:
             self.dp1 = reg("dp1", L.DepthPool("halve"))
-        self.s2 = reg("s2", L.Conv2dPerSlice(w1, w2, 3, 2, rng, dt))
+        self.s2 = reg("s2", L.Conv(w1, w2, SLICE, HALVE_HW, rng=rng, dtype=dt))
         self.act2 = reg("act2", L.SiLU())
         if config.strided_depth_pool:
-            self.dp2 = reg("dp2", L.DepthStridedConv(w2, rng, dt))
+            self.dp2 = reg("dp2", L.Conv(w2, w2, DEPTH, HALVE_D, rng=rng, dtype=dt))
         else:
             self.dp2 = reg("dp2", L.DepthPool("halve"))
-        self.bott = reg("bott", L.Conv3d(w2, w2, 3, 1, rng, dt))
+        self.bott = reg("bott", L.Conv(w2, w2, CUBE, rng=rng, dtype=dt))
         self.act3 = reg("act3", L.SiLU())
         self.up_depth = reg("up_depth", L.UpsampleNearest((4, 1, 1)))
-        self.head = reg("head", L.Conv3d(w2, c * 16, 1, 1, rng, dt))
+        self.head = reg("head", L.Conv(w2, c * 16, POINT, rng=rng, dtype=dt))
         self.shuffle = reg("shuffle", L.PixelShuffleHW(4))
 
     def forward(self, x):
@@ -200,28 +192,28 @@ class VariantBNet(ToyNet):
         wd = config.decoder_width
         c = config.class_count
         reg = self._register
-        self.stem = reg("stem", L.Conv2dPerSlice(1, w0, 3, 1, rng, dt))
+        self.stem = reg("stem", L.Conv(1, w0, SLICE, rng=rng, dtype=dt))
         self.act0 = reg("act0", L.SiLU())
-        self.s1 = reg("s1", L.Conv2dPerSlice(w0, w1, 3, 2, rng, dt))
+        self.s1 = reg("s1", L.Conv(w0, w1, SLICE, HALVE_HW, rng=rng, dtype=dt))
         self.act1 = reg("act1", L.SiLU())
         self.dp1 = reg("dp1", L.DepthPool("halve"))
-        self.s2 = reg("s2", L.Conv2dPerSlice(w1, w2, 3, 2, rng, dt))
+        self.s2 = reg("s2", L.Conv(w1, w2, SLICE, HALVE_HW, rng=rng, dtype=dt))
         self.act2 = reg("act2", L.SiLU())
         self.dp2 = reg("dp2", L.DepthPool("halve"))
-        self.s3 = reg("s3", L.Conv2dPerSlice(w2, w3, 3, 2, rng, dt))
+        self.s3 = reg("s3", L.Conv(w2, w3, SLICE, HALVE_HW, rng=rng, dtype=dt))
         self.act3 = reg("act3", L.SiLU())
         self.dp3 = reg("dp3", L.DepthPool("preserve"))
         self.fusion = reg("fusion", L.FusionBlock([w1, w2, w3], wd, wd, rng, dt))
         self.dec = []
         cin = wd
         for i, f in enumerate(self.UP_FACTORS):
-            conv = reg(f"dec{i}.conv", L.Conv3d(cin, wd, 3, 1, rng, dt))
+            conv = reg(f"dec{i}.conv", L.Conv(cin, wd, CUBE, rng=rng, dtype=dt))
             act = reg(f"dec{i}.act", L.SiLU())
             scse = reg(f"dec{i}.scse", L.SCSEBlock(wd, 2, rng, dt))
             up = reg(f"dec{i}.up", L.UpsampleNearest(f))
             self.dec.append((conv, act, scse, up))
             cin = wd
-        self.head = reg("head", L.Conv3d(wd, c, 1, 1, rng, dt))
+        self.head = reg("head", L.Conv(wd, c, POINT, rng=rng, dtype=dt))
 
     def forward(self, x):
         x = self._check_input(x)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -135,7 +135,8 @@ def aggregate(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for origin, pred in zip(origins, pool.map(run, origins)):
                 consume(origin, pred)
-    assert den.min() > 0.0, "uncovered voxels in window plan"
+    if den.min() <= 0.0:
+        raise ValueError("window plan leaves voxels uncovered")
     return Heatmap((num / den[None]).astype(np.float32), volume.spacing)
 
 

@@ -4,7 +4,7 @@ and EMA weight tracking. Deterministic given config seed."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,7 +106,7 @@ def train(
     if not dataset:
         raise ValueError("dataset must be non-empty")
     loss_fn = LOSSES[cfg.loss]
-    params = net.trainable_params()
+    params = net.named_params()
     ema = {k: v.copy() for k, v in net.named_params().items()}
     if cfg.epochs == 0:
         return TrainResult({k: v.copy() for k, v in net.named_params().items()}, ema, [])

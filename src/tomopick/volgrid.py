@@ -8,7 +8,7 @@ All files are little-endian; payloads are 32-bit floats.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,13 +205,3 @@ def pad_volume(
     else:
         raise ValueError(f"unknown pad mode {mode!r}")
     return Volume3D(values, vol.spacing)
-
-
-def crop_volume(
-    vol: Volume3D, offset: tuple[int, int, int], dims: tuple[int, int, int]
-) -> Volume3D:
-    z, y, x = offset
-    d, h, w = dims
-    if z < 0 or y < 0 or x < 0 or z + d > vol.dims[0] or y + h > vol.dims[1] or x + w > vol.dims[2]:
-        raise ValueError("crop exceeds volume bounds")
-    return Volume3D(vol.values[z : z + d, y : y + h, x : x + w].copy(), vol.spacing)

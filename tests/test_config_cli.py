@@ -106,6 +106,12 @@ def test_missing_volume_exits_4(tmp_path):
     assert code == 4
 
 
+def test_bad_thread_env_exits_3(monkeypatch, capsys):
+    monkeypatch.setenv("TOMOPICK_THREADS", "abc")
+    assert run_cli("plan", "--dims", "64", "64", "64") == 3
+    assert "config error: TOMOPICK_THREADS" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2():
     assert run_cli("plan") == 2
     assert run_cli("frobnicate") == 2

@@ -40,11 +40,15 @@ def layer_fd_check(layer, x, rel_tol=1e-6, h=1e-5):
                                    err_msg=f"param {name}")
 
 
-# --- per-slice 2D convolution --------------------------------------------
+# --- convolution: per-slice 2D kernels (1, 3, 3) ----------------------------
+
+
+def slice_conv(cin, cout, stride=1):
+    return L.Conv(cin, cout, (1, 3, 3), (1, stride, stride), rng=rng64(), dtype=np.float64)
 
 
 def test_conv2d_identity_kernel():
-    conv = L.Conv2dPerSlice(2, 2, 3, 1, rng64(), np.float64)
+    conv = slice_conv(2, 2)
     conv.params["weight"][...] = 0.0
     for c in range(2):
         conv.params["weight"][c, c, 1, 1] = 1.0
@@ -54,7 +58,7 @@ def test_conv2d_identity_kernel():
 
 
 def test_conv2d_ones_kernel_plateau():
-    conv = L.Conv2dPerSlice(1, 1, 3, 1, rng64(), np.float64)
+    conv = slice_conv(1, 1)
     conv.params["weight"][...] = 1.0
     conv.params["bias"][...] = 0.0
     x = np.zeros((1, 1, 7, 7))
@@ -66,7 +70,7 @@ def test_conv2d_ones_kernel_plateau():
 
 
 def test_conv2d_equals_per_slice_oracle():
-    conv = L.Conv2dPerSlice(2, 3, 3, 1, rng64(), np.float64)
+    conv = slice_conv(2, 3)
     x = RNG.normal(size=(2, 4, 6, 6))
     y = conv.forward(x)
     for d in range(4):
@@ -78,14 +82,14 @@ def test_conv2d_equals_per_slice_oracle():
 
 
 def test_conv2d_stride2_shape():
-    conv = L.Conv2dPerSlice(1, 4, 3, 2, rng64(), np.float64)
+    conv = slice_conv(1, 4, 2)
     y = conv.forward(RNG.normal(size=(1, 2, 8, 8)))
     assert y.shape == (4, 2, 4, 4)
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv2d_gradients(stride):
-    conv = L.Conv2dPerSlice(2, 3, 3, stride, rng64(), np.float64)
+    conv = slice_conv(2, 3, stride)
     layer_fd_check(conv, RNG.normal(size=(2, 2, 4, 4)))
 
 
@@ -120,7 +124,7 @@ def test_depth_pool_gradients(mode):
 
 
 def test_depth_preserve_commutes_with_conv_on_depth_constant():
-    conv = L.Conv2dPerSlice(2, 2, 3, 1, rng64(), np.float64)
+    conv = slice_conv(2, 2)
     pool = L.DepthPool("preserve")
     slice2d = RNG.normal(size=(2, 1, 5, 5))
     x = np.repeat(slice2d, 4, axis=1)
@@ -129,18 +133,26 @@ def test_depth_preserve_commutes_with_conv_on_depth_constant():
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+# --- convolution: depth (3, 1, 1), dense (3, 3, 3) and 1x1x1 kernels -------
+
+
+def depth_conv(c):
+    return L.Conv(c, c, (3, 1, 1), (2, 1, 1), rng=rng64(), dtype=np.float64)
+
+
+def cube_conv(cin, cout, ksize=3, dilation=1):
+    return L.Conv(cin, cout, (ksize,) * 3, dilation=dilation, rng=rng64(), dtype=np.float64)
+
+
 def test_depth_strided_conv_halves_depth():
-    conv = L.DepthStridedConv(3, rng64(), np.float64)
+    conv = depth_conv(3)
     y = conv.forward(RNG.normal(size=(3, 8, 4, 4)))
     assert y.shape == (3, 4, 4, 4)
     layer_fd_check(conv, RNG.normal(size=(3, 4, 3, 3)))
 
 
-# --- 3D convolution ---------------------------------------------------------
-
-
 def test_conv3d_identity_kernel():
-    conv = L.Conv3d(2, 2, 3, 1, rng64(), np.float64)
+    conv = cube_conv(2, 2)
     conv.params["weight"][...] = 0.0
     for c in range(2):
         conv.params["weight"][c, c, 1, 1, 1] = 1.0
@@ -150,7 +162,7 @@ def test_conv3d_identity_kernel():
 
 
 def test_conv3d_ones_kernel_cube():
-    conv = L.Conv3d(1, 1, 3, 1, rng64(), np.float64)
+    conv = cube_conv(1, 1)
     conv.params["weight"][...] = 1.0
     conv.params["bias"][...] = 0.0
     x = np.zeros((1, 7, 7, 7))
@@ -162,7 +174,7 @@ def test_conv3d_ones_kernel_cube():
 
 @pytest.mark.parametrize("dilation", [1, 2])
 def test_conv3d_matches_brute_force(dilation):
-    conv = L.Conv3d(2, 2, 3, dilation, rng64(), np.float64)
+    conv = cube_conv(2, 2, dilation=dilation)
     x = RNG.normal(size=(2, 5, 5, 5))
     y = conv.forward(x)
     oracle = brute_conv3d(x, conv.params["weight"], dilation)
@@ -171,7 +183,7 @@ def test_conv3d_matches_brute_force(dilation):
 
 
 def test_conv3d_dilation2_tap_positions():
-    conv = L.Conv3d(1, 1, 3, 2, rng64(), np.float64)
+    conv = cube_conv(1, 1, dilation=2)
     conv.params["weight"][...] = 1.0
     conv.params["bias"][...] = 0.0
     x = np.zeros((1, 9, 9, 9))
@@ -184,13 +196,60 @@ def test_conv3d_dilation2_tap_positions():
 
 @pytest.mark.parametrize("dilation", [1, 2])
 def test_conv3d_gradients(dilation):
-    conv = L.Conv3d(2, 2, 3, dilation, rng64(), np.float64)
+    conv = cube_conv(2, 2, dilation=dilation)
     layer_fd_check(conv, RNG.normal(size=(2, 3, 4, 4)))
 
 
 def test_conv3d_1x1_projection_gradients():
-    conv = L.Conv3d(3, 2, 1, 1, rng64(), np.float64)
+    conv = cube_conv(3, 2, ksize=1)
     layer_fd_check(conv, RNG.normal(size=(3, 2, 3, 3)))
+
+
+# --- convolution: every configuration the nets use, on odd-sized inputs -------
+
+NET_CONVS = {
+    "slice": ((1, 3, 3), (1, 1, 1), 1),
+    "slice_s2": ((1, 3, 3), (1, 2, 2), 1),
+    "depth_s2": ((3, 1, 1), (2, 1, 1), 1),
+    "cube": ((3, 3, 3), (1, 1, 1), 1),
+    "cube_d2": ((3, 3, 3), (1, 1, 1), 2),
+    "cube_d4": ((3, 3, 3), (1, 1, 1), 4),
+    "point": ((1, 1, 1), (1, 1, 1), 1),
+}
+
+
+def net_conv(name):
+    kernel, stride, dilation = NET_CONVS[name]
+    return L.Conv(2, 3, kernel, stride, dilation, rng64(), np.float64)
+
+
+@pytest.mark.parametrize("name", sorted(NET_CONVS))
+def test_conv_matches_embedded_cube_oracle(name):
+    """Zero-embed the kernel in a cube, run the dense 3D oracle, subsample."""
+    conv = net_conv(name)
+    kernel, stride, dilation = NET_CONVS[name]
+    k = max(kernel)
+    cube = np.zeros((3, 2, k, k, k))
+    centre = tuple(slice((k - ki) // 2, (k + ki) // 2) for ki in kernel)
+    cube[(...,) + centre] = conv.params["weight"].reshape((3, 2) + kernel)
+    x = RNG.normal(size=(2, 5, 6, 7))
+    oracle = brute_conv3d(x, cube, dilation)[:, :: stride[0], :: stride[1], :: stride[2]]
+    oracle += conv.params["bias"][:, None, None, None]
+    np.testing.assert_allclose(conv.forward(x), oracle, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(NET_CONVS))
+def test_conv_gradients(name):
+    conv = net_conv(name)
+    conv.params["bias"][...] = RNG.normal(size=3)
+    layer_fd_check(conv, RNG.normal(size=(2, 5, 6, 7)))
+
+
+def test_conv_rejects_even_kernel_and_channel_mismatch():
+    with pytest.raises(ValueError):
+        L.Conv(1, 1, (2, 3, 3), rng=rng64())
+    with pytest.raises(ValueError):
+        L.Conv(2, 1, (1, 1, 1), rng=rng64()).forward(np.zeros((1, 2, 2, 2)))
 
 
 # --- pixel shuffle -----------------------------------------------------------
@@ -354,6 +413,6 @@ def test_silu_gradients():
 def test_backward_without_forward_raises():
     with pytest.raises(L.MissingForwardCacheError):
         L.SiLU().backward(np.zeros((1, 1, 1, 1)))
-    conv = L.Conv3d(1, 1, 3, 1, rng64(), np.float64)
+    conv = cube_conv(1, 1)
     with pytest.raises(L.MissingForwardCacheError):
         conv.backward(np.zeros((1, 2, 2, 2)))

@@ -1,5 +1,7 @@
 """Shape contracts, determinism, checkpoints, and whole-net gradient checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -63,18 +65,6 @@ def test_zero_upstream_grad_gives_zero_param_grads():
         assert np.all(g == 0.0), name
 
 
-def test_frozen_group_absent_from_grads():
-    cfg = tiny_a(frozen=("stem.",))
-    net = nets.build_net(cfg)
-    y = net.forward(RNG.normal(size=(8, 16, 16)).astype(np.float32))
-    net.zero_grads()
-    net.backward(np.ones_like(y))
-    grads = net.named_grads()
-    assert not any(k.startswith("stem.") for k in grads)
-    assert not any(k.startswith("stem.") for k in net.trainable_params())
-    assert any(k.startswith("stem.") for k in net.named_params())
-
-
 def test_strided_depth_pool_variant():
     cfg = tiny_a(strided_depth_pool=True)
     net = nets.build_net(cfg)
@@ -118,6 +108,34 @@ def test_loaded_net_reproduces_outputs(tmp_path):
     nets.save_weights(path, net)
     net2 = nets.load_net(path, cfg)
     np.testing.assert_array_equal(net2.forward(x), y)
+
+
+# Committed WTS1 checkpoints of freshly initialised tiny nets, each with one
+# forward output; `tests/data/make_net_fixtures.py` writes them.
+DATA = Path(__file__).parent / "data"
+FIXTURES = {
+    "a": tiny_a(),
+    "a_strided": tiny_a(strided_depth_pool=True),
+    "b": tiny_b(),
+}
+
+
+def fixture_input():
+    return np.random.default_rng(2025).normal(size=(8, 16, 16)).astype(np.float32)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_committed_checkpoint_pins_init_and_outputs(name):
+    cfg = FIXTURES[name]
+    state = nets.load_weights(DATA / f"net_{name}.wts", cfg)
+    params = nets.build_net(cfg).named_params()
+    assert set(state) == set(params)
+    for k in params:
+        assert state[k].shape == params[k].shape, k
+        assert state[k].tobytes() == params[k].tobytes(), k
+    ref = np.load(DATA / f"net_{name}.out.npy")
+    y = nets.load_net(DATA / f"net_{name}.wts", cfg).forward(fixture_input())
+    np.testing.assert_allclose(y, ref, rtol=0, atol=1e-6)
 
 
 def test_checkpoint_truncation_rejected(tmp_path):

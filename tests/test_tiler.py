@@ -161,6 +161,13 @@ def test_aggregate_shape_mismatch_rejected():
         aggregate(lambda w: np.zeros((1, 2, 2, 2)), vol, plan, blend_mask((4, 8, 8)))
 
 
+def test_aggregate_uncovered_voxels_rejected():
+    vol = Volume3D(np.zeros((4, 10, 10), dtype=np.float32))
+    plan = WindowPlan.build(vol.dims, (4, 8, 8), (4, 4, 4), clamp_last=False)
+    with pytest.raises(ValueError, match="uncovered"):
+        aggregate(_const_predictor(0.5), vol, plan, blend_mask((4, 8, 8)))
+
+
 def test_ensemble_idempotent_and_mean():
     rng = np.random.default_rng(2)
     a = Heatmap(rng.random((1, 2, 3, 3)).astype(np.float32))
