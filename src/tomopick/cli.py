@@ -7,13 +7,11 @@ Exit codes: 0 success, 2 usage error (argparse), 3 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-import threading
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import metric, nets, postproc, tiler, train as train_mod
 from .config import ConfigError, PipelineConfig, load_config
@@ -54,11 +52,17 @@ def _parse_counts(spec: str, cfg: PipelineConfig) -> tuple[int, ...]:
     return tuple(counts[c.name] for c in cfg.classes)
 
 
+def _window_depth(variant: str, cfg: PipelineConfig) -> int:
+    """Depth of a net's input window: variant B reads twice the configured
+    z_window and reduces it in its stages."""
+    return cfg.z_window if variant == "A" else 2 * cfg.z_window
+
+
 def _net_config(args, cfg: PipelineConfig, window_hw: int | None = None) -> nets.NetConfig:
     widths = tuple(int(w) for w in args.widths.split(","))
     return nets.NetConfig(
         variant=args.variant,
-        in_depth=cfg.z_window if args.variant == "A" else 2 * cfg.z_window,
+        in_depth=_window_depth(args.variant, cfg),
         window_hw=window_hw if window_hw is not None else cfg.window,
         class_count=len(cfg.classes),
         widths=widths,
@@ -95,26 +99,6 @@ def cmd_rasterize(args) -> int:
     return EXIT_OK
 
 
-def _scene_windows(volume, picks, cfg, ncfg):
-    """Cut a scene into non-overlapping windows with rasterized targets; keep
-    windows that contain signal, plus one background window."""
-    target = rasterize_heatmap(picks, list(cfg.classes), volume.dims, offset=cfg.offset)
-    window = (ncfg.in_depth, ncfg.window_hw, ncfg.window_hw)
-    plan = tiler.WindowPlan.build(volume.dims, window, window)
-    out = []
-    background = None
-    for z, y, x in plan.iter_origins():
-        win = volume.values[z : z + window[0], y : y + window[1], x : x + window[2]]
-        tgt = target.data[:, z : z + window[0], y : y + window[1], x : x + window[2]]
-        if tgt.max() >= 0.5:
-            out.append((win, tgt))
-        elif background is None:
-            background = (win, tgt)
-    if not out and background is not None:
-        out.append(background)
-    return out
-
-
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     ncfg = _net_config(args, cfg, window_hw=args.window_hw)
@@ -129,7 +113,7 @@ def cmd_train(args) -> int:
             raise PicksFormatError(f"missing picks file for {vol_path}")
         volume = read_volume(vol_path)
         picks = read_picks(picks_path, list(cfg.classes), cfg.spacing)
-        dataset.extend(_scene_windows(volume, picks, cfg, ncfg))
+        dataset.extend(train_mod.scene_windows(volume, picks, cfg, ncfg))
     tcfg = train_mod.TrainConfig(
         epochs=args.epochs,
         base_lr=args.lr,
@@ -152,24 +136,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _thread_local_predictor(path, ncfg):
-    local = threading.local()
-
-    def predict(window: np.ndarray) -> np.ndarray:
-        net = getattr(local, "net", None)
-        if net is None:
-            net = nets.load_net(path, ncfg)
-            local.net = net
-        return net.forward(window)
-
-    return predict
-
-
 def cmd_infer(args) -> int:
     cfg = _load_cfg(args)
     volume = read_volume(args.volume)
     ncfg = _net_config(args, cfg)
-    predictors = [_thread_local_predictor(p, ncfg) for p in args.checkpoints]
+    # Inference-mode forwards write nothing on the net, so the workers share one net per checkpoint.
+    predictors = [functools.partial(nets.load_net(p, ncfg).forward, train=False) for p in args.checkpoints]
     xy_stride = args.xy_stride if args.xy_stride else cfg.xy_stride
     hm = tiler.tiled_inference(
         predictors,
@@ -221,15 +193,16 @@ def cmd_plan(args) -> int:
     cfg = _load_cfg(args)
     d, h, w = args.dims
     xy_stride = args.xy_stride if args.xy_stride else cfg.xy_stride
+    z_window = _window_depth(args.variant, cfg)
     plan = tiler.WindowPlan.build(
         (d, cfg.pad_to, cfg.pad_to),
-        (cfg.z_window, cfg.window, cfg.window),
+        (z_window, cfg.window, cfg.window),
         (cfg.z_stride, xy_stride, xy_stride),
     )
     oz, oy, ox = plan.origins_z, plan.origins_y, plan.origins_x
     print(f"volume {d} x {h} x {w}, XY padded to {cfg.pad_to}")
     print(f"XY windows: {len(oy)} x {len(ox)} (window {cfg.window}, stride {xy_stride})")
-    print(f"Z windows: {len(oz)} (window {cfg.z_window}, stride {cfg.z_stride})")
+    print(f"Z windows: {len(oz)} (window {z_window}, stride {cfg.z_stride})")
     for axis, origins in (("z", oz), ("y", oy), ("x", ox)):
         txt = " ".join(f"{o}{'*' if clamped else ''}" for o, clamped in origins)
         print(f"{axis} origins: {txt}")
@@ -314,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dims", type=int, nargs=3, required=True, metavar=("D", "H", "W"))
     p.add_argument("--xy-stride", type=int, default=0)
+    p.add_argument("--variant", choices=["A", "B"], default="A", help="net whose window depth to plan")
     p.set_defaults(func=cmd_plan)
 
     return parser

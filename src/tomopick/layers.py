@@ -3,7 +3,11 @@ activations and hand-derived backward passes.
 
 Tensors are (channels, depth, height, width) dense arrays. Layers carry their
 parameters and accumulated gradients in dicts so optimizers and checkpointing
-can address them by name. Every backward requires the matching forward's cache.
+can address them by name. `forward(x)` (train=True) caches what the matching
+backward needs, and every backward requires that cache. `forward(x,
+train=False)` is the inference mode: it returns the same values but writes no
+attribute on any layer, so it keeps no activations alive, a following backward
+raises `MissingForwardCacheError`, and one net can serve several threads.
 
 One anisotropic `Conv` serves as per-slice 2D conv, strided depth conv and
 dense (dilated) 3D conv; the rest are depth pooling, pixel shuffle, nearest
@@ -41,7 +45,8 @@ def _init_uniform(rng, shape, fan_in, dtype):
 
 
 class Layer:
-    """Base: parameter/grad dicts plus a one-slot forward cache."""
+    """Base: parameter/grad dicts plus a one-slot forward cache, which only a
+    training forward (train=True) fills."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -57,7 +62,7 @@ class Layer:
         cache, self._cache = self._cache, None
         return cache
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
@@ -98,18 +103,51 @@ class Conv(Layer):
                 slice(t * dil, t * dil + s * (o - 1) + 1, s) for t, s, o in zip(tap, self.stride, out)
             )
 
-    def forward(self, x):
+    def forward(self, x, train=True):
         if x.shape[0] != self.cin:
             raise ValueError(f"expected {self.cin} channels, got {x.shape[0]}")
-        xp = np.pad(x, ((0, 0),) + tuple((p, p) for p in self.pad))
-        out = tuple(-(-n // s) for n, s in zip(x.shape[1:], self.stride))
+        (pd, ph, pw), (_, d, h, w) = self.pad, x.shape
+        dp, hp, wp = d + 2 * pd, h + 2 * ph, w + 2 * pw
+        # Each channel row of `flat` runs 2 * (ph * wp + pw) zeros past the
+        # padded input, so every shifted slice in _shifted_gemm stays in bounds.
+        flat = np.zeros((self.cin, dp * hp * wp + 2 * (ph * wp + pw)), dtype=x.dtype)
+        xp = flat[:, : dp * hp * wp].reshape(self.cin, dp, hp, wp)
+        xp[:, pd : pd + d, ph : ph + h, pw : pw + w] = x
         wgt = self.params["weight"].reshape((self.cout, self.cin) + self.kernel)
-        y = np.zeros((self.cout,) + out, dtype=x.dtype)
-        for w_tap, x_tap in self._taps(out):
-            y += np.einsum("cdhw,oc->odhw", xp[x_tap], wgt[w_tap], optimize=True)
+        if self.stride == (1, 1, 1):
+            y = np.ascontiguousarray(self._shifted_gemm(flat, wgt, (d, hp, wp))[:, :, :h, :w])
+        else:
+            out = tuple(-(-n // s) for n, s in zip(x.shape[1:], self.stride))
+            y = np.zeros((self.cout,) + out, dtype=x.dtype)
+            for w_tap, x_tap in self._taps(out):
+                y += np.einsum("cdhw,oc->odhw", xp[x_tap], wgt[w_tap], optimize=True)
         y += self.params["bias"][:, None, None, None]
-        self._cache = (xp, x.shape)
+        if train:
+            self._cache = (xp, x.shape)
         return y
+
+    def _shifted_gemm(self, flat, wgt, grid):
+        """Stride-1 taps on the flattened padded input `flat` (cin, n + tail).
+
+        On the padded (height, width) grid a kernel tap is one constant flat
+        offset, so each tap is one product of its (cout, cin) weight with a
+        column slice of `flat`, a view. Returns the sum on the (d, hp, wp)
+        grid; the caller crops the columns past (h, w).
+        """
+        _, hp, wp = grid
+        n = math.prod(grid)
+        acc = np.empty((self.cout, n), dtype=flat.dtype)
+        tmp = np.empty_like(acc)
+        # With one input channel, matmul leaves BLAS and runs several times
+        # slower than a broadcast multiply, which gives the same products.
+        product = np.multiply if self.cin == 1 else np.matmul
+        taps = itertools.product(*(range(k) for k in self.kernel))
+        for i, (a, b, c) in enumerate(taps):
+            off = self.dilation * ((a * hp + b) * wp + c)
+            product(wgt[:, :, a, b, c], flat[:, off : off + n], out=tmp if i else acc)
+            if i:
+                acc += tmp
+        return acc.reshape((self.cout,) + grid)
 
     def backward(self, gy):
         xp, xshape = self._take_cache()
@@ -133,12 +171,13 @@ class DepthPool(Layer):
             raise ValueError(f"unknown depth pool mode {mode!r}")
         self.mode = mode
 
-    def forward(self, x):
+    def forward(self, x, train=True):
         c, d, h, w = x.shape
         if self.mode == "halve":
             if d % 2 != 0:
                 raise ValueError("halve mode requires even depth")
-            self._cache = x.shape
+            if train:
+                self._cache = x.shape
             return 0.5 * (x[:, 0::2] + x[:, 1::2])
         idx = np.stack(
             [
@@ -147,7 +186,8 @@ class DepthPool(Layer):
                 np.clip(np.arange(d) + 1, 0, d - 1),
             ]
         )
-        self._cache = (x.shape, idx)
+        if train:
+            self._cache = (x.shape, idx)
         return (x[:, idx[0]] + x[:, idx[1]] + x[:, idx[2]]) / 3.0
 
     def backward(self, gy):
@@ -173,7 +213,7 @@ class PixelShuffleHW(Layer):
         super().__init__()
         self.r = r
 
-    def forward(self, x):
+    def forward(self, x, train=True):
         r = self.r
         c4, d, h, w = x.shape
         if c4 % (r * r) != 0:
@@ -181,7 +221,8 @@ class PixelShuffleHW(Layer):
         c = c4 // (r * r)
         y = x.reshape(c, r, r, d, h, w)
         y = y.transpose(0, 3, 4, 1, 5, 2)  # (C, D, H, i, W, j)
-        self._cache = x.shape
+        if train:
+            self._cache = x.shape
         return np.ascontiguousarray(y.reshape(c, d, h * r, w * r))
 
     def backward(self, gy):
@@ -213,8 +254,9 @@ class UpsampleNearest(Layer):
         super().__init__()
         self.factors = factors
 
-    def forward(self, x):
-        self._cache = x.shape
+    def forward(self, x, train=True):
+        if train:
+            self._cache = x.shape
         return upsample_nearest(x, self.factors)
 
     def backward(self, gy):
@@ -223,8 +265,9 @@ class UpsampleNearest(Layer):
 
 
 class SiLU(Layer):
-    def forward(self, x):
-        self._cache = x
+    def forward(self, x, train=True):
+        if train:
+            self._cache = x
         return silu(x)
 
     def backward(self, gy):
@@ -252,7 +295,7 @@ class SCSEBlock(Layer):
         self.params["sp_b"] = np.zeros(1, dtype=dtype)
         self.zero_grads()
 
-    def forward(self, x):
+    def forward(self, x, train=True):
         if x.shape[0] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[0]}")
         m = x.mean(axis=(1, 2, 3))
@@ -263,7 +306,8 @@ class SCSEBlock(Layer):
         s_pre = np.einsum("cdhw,c->dhw", x, self.params["sp_w"], optimize=True)
         s_pre = s_pre + self.params["sp_b"][0]
         sgate = sigmoid(s_pre)
-        self._cache = (x, m, h_pre, hidden, cgate, sgate)
+        if train:
+            self._cache = (x, m, h_pre, hidden, cgate, sgate)
         return x * cgate[:, None, None, None] + x * sgate[None]
 
     def backward(self, gy):
@@ -321,7 +365,7 @@ class FusionBlock(Layer):
             layer.zero_grads()
             self.grads.update((f"{n}.{k}", g) for k, g in layer.grads.items())
 
-    def forward(self, xs: list[np.ndarray]):
+    def forward(self, xs: list[np.ndarray], train=True):
         if len(xs) != len(self.in_channels):
             raise ValueError("feature map count mismatch")
         target = max((x.shape[1:] for x in xs), key=lambda s: s[0] * s[1] * s[2])
@@ -334,12 +378,10 @@ class FusionBlock(Layer):
             factors.append(f)
             ups.append(upsample_nearest(x, f))
         cat = np.concatenate(ups, axis=0)
-        outs = []
-        for br, act in zip(self.branches, self.acts):
-            outs.append(act.forward(br.forward(cat)))
-        fused = np.concatenate(outs, axis=0)
-        y = self.proj.forward(fused)
-        self._cache = (factors, [x.shape for x in xs], outs[0].shape[0])
+        outs = [act.forward(br.forward(cat, train), train) for br, act in zip(self.branches, self.acts)]
+        y = self.proj.forward(np.concatenate(outs, axis=0), train)
+        if train:
+            self._cache = (factors, [x.shape for x in xs], outs[0].shape[0])
         return y
 
     def backward(self, gy):

@@ -72,6 +72,12 @@ def config_hash(cfg: NetConfig) -> int:
     return int.from_bytes(hashlib.sha256(canon.encode()).digest()[:8], "little")
 
 
+def _chain(h, train, *layers):
+    for layer in layers:
+        h = layer.forward(h, train)
+    return h
+
+
 class ToyNet:
     """Common plumbing: named parameter access, grad reset, checkpoint state."""
 
@@ -122,7 +128,10 @@ class ToyNet:
             )
         return x.astype(cfg.np_dtype, copy=False)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        """(D, H, W) or (1, D, H, W) window -> (C, D, H, W) heatmap.
+        train=False keeps no activations (see `layers`), so one net can be
+        shared read-only by threads."""
         raise NotImplementedError
 
     def backward(self, gy: np.ndarray) -> None:
@@ -157,15 +166,10 @@ class VariantANet(ToyNet):
         self.head = reg("head", L.Conv(w2, c * 16, POINT, rng=rng, dtype=dt))
         self.shuffle = reg("shuffle", L.PixelShuffleHW(4))
 
-    def forward(self, x):
-        x = self._check_input(x)
-        h = self.act0.forward(self.stem.forward(x))
-        h = self.dp1.forward(self.act1.forward(self.s1.forward(h)))
-        h = self.dp2.forward(self.act2.forward(self.s2.forward(h)))
-        h = self.act3.forward(self.bott.forward(h))
-        h = self.up_depth.forward(h)
-        h = self.head.forward(h)
-        return self.shuffle.forward(h)
+    def forward(self, x, train=True):
+        return _chain(self._check_input(x), train, self.stem, self.act0, self.s1, self.act1, self.dp1,
+                      self.s2, self.act2, self.dp2, self.bott, self.act3, self.up_depth, self.head,
+                      self.shuffle)
 
     def backward(self, gy):
         g = self.shuffle.backward(gy)
@@ -215,16 +219,14 @@ class VariantBNet(ToyNet):
             cin = wd
         self.head = reg("head", L.Conv(wd, c, POINT, rng=rng, dtype=dt))
 
-    def forward(self, x):
-        x = self._check_input(x)
-        h = self.act0.forward(self.stem.forward(x))
-        f1 = self.dp1.forward(self.act1.forward(self.s1.forward(h)))
-        f2 = self.dp2.forward(self.act2.forward(self.s2.forward(f1)))
-        f3 = self.dp3.forward(self.act3.forward(self.s3.forward(f2)))
-        h = self.fusion.forward([f1, f2, f3])
-        for conv, act, scse, up in self.dec:
-            h = up.forward(scse.forward(act.forward(conv.forward(h))))
-        return self.head.forward(h)
+    def forward(self, x, train=True):
+        f1 = _chain(self._check_input(x), train, self.stem, self.act0, self.s1, self.act1, self.dp1)
+        f2 = _chain(f1, train, self.s2, self.act2, self.dp2)
+        f3 = _chain(f2, train, self.s3, self.act3, self.dp3)
+        h = self.fusion.forward([f1, f2, f3], train)
+        for block in self.dec:
+            h = _chain(h, train, *block)
+        return self.head.forward(h, train)
 
     def backward(self, gy):
         g = self.head.backward(gy)

@@ -114,6 +114,8 @@ def aggregate(
         pred = np.asarray(pred)
         if pred.ndim != 4 or pred.shape[1:] != plan.window:
             raise ValueError(f"predictor output shape {pred.shape} does not match window")
+        if not np.isfinite(pred).all():
+            raise ValueError(f"predictor output for the window at origin {origin} is not finite")
         return pred
 
     num = None

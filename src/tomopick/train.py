@@ -1,5 +1,6 @@
-"""Training loop: warmup + cosine LR schedule, decoupled-weight-decay Adam,
-and EMA weight tracking. Deterministic given config seed."""
+"""Training-set preparation and the training loop: warmup + cosine LR
+schedule, decoupled-weight-decay Adam, and EMA weight tracking. Deterministic
+given config seed."""
 
 from __future__ import annotations
 
@@ -8,8 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coords import rasterize_heatmap
 from .losses import LOSSES
 from .nets import ToyNet
+from .tiler import WindowPlan
 
 
 class TrainingDivergedError(RuntimeError):
@@ -37,6 +40,26 @@ class TrainConfig:
             raise ValueError("ema_decay must be in (0, 1)")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}; options: {sorted(LOSSES)}")
+
+
+def scene_windows(volume, picks, cfg, ncfg):
+    """Cut a scene into non-overlapping windows with rasterized targets; keep
+    windows that contain signal, plus one background window."""
+    target = rasterize_heatmap(picks, list(cfg.classes), volume.dims, offset=cfg.offset)
+    window = (ncfg.in_depth, ncfg.window_hw, ncfg.window_hw)
+    plan = WindowPlan.build(volume.dims, window, window)
+    out = []
+    background = None
+    for z, y, x in plan.iter_origins():
+        win = volume.values[z : z + window[0], y : y + window[1], x : x + window[2]]
+        tgt = target.data[:, z : z + window[0], y : y + window[1], x : x + window[2]]
+        if tgt.max() >= 0.5:
+            out.append((win, tgt))
+        elif background is None:
+            background = (win, tgt)
+    if not out and background is not None:
+        out.append(background)
+    return out
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:

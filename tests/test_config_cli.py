@@ -1,8 +1,12 @@
 """Config file round trips and the command-line front end."""
 
+import collections
+import sys
+
 import numpy as np
 import pytest
 
+from tomopick import nets
 from tomopick.cli import run
 from tomopick.config import (
     ConfigError,
@@ -83,6 +87,11 @@ def test_plan_prints_window_counts(capsys):
     out = capsys.readouterr().out
     assert "XY windows: 12 x 12" in out
     assert "Z windows: 22" in out
+
+
+def test_plan_variant_b_reads_double_depth_windows(capsys):
+    assert run_cli("plan", "--dims", "184", "630", "630", "--variant", "B") == 0
+    assert "Z windows: 20 (window 32" in capsys.readouterr().out
 
 
 def test_plan_marks_clamped_origin(capsys):
@@ -194,3 +203,46 @@ def test_eval_self_match_is_one(tmp_path, small_cfg, capsys):
     capsys.readouterr()
     assert run_cli("eval", "--config", small_cfg, "--pred", str(gt), "--gt", str(gt)) == 0
     assert "weighted_score=1.0" in capsys.readouterr().out
+
+
+def test_infer_shares_one_net_per_checkpoint_across_workers(tmp_path, monkeypatch):
+    """Variant-B ensemble: any worker count writes the same bytes, and each
+    checkpoint is loaded once however many threads run it."""
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(SMALL_CFG.replace("tiling.window = 32", "tiling.window = 16")
+                   .replace("tiling.xy_stride = 16", "tiling.xy_stride = 8")
+                   .replace("tiling.pad_to = 64", "tiling.pad_to = 32")
+                   .replace("tiling.z_window = 16", "tiling.z_window = 8"))
+    vol = tmp_path / "scene.vol"
+    assert run_cli("gen", "--config", str(cfg), "--seed", "5", "--dims", "16", "32", "32",
+                   "--counts", "blob=3", "--out-volume", str(vol),
+                   "--out-picks", str(tmp_path / "scene.picks")) == 0
+    ckpts = []
+    for seed in (1, 2):
+        ncfg = nets.NetConfig(variant="B", in_depth=16, window_hw=16, widths=(4, 4, 4, 4),
+                              decoder_width=4, seed=seed)
+        ckpts.append(str(tmp_path / f"m{seed}.wts"))
+        nets.save_weights(ckpts[-1], nets.build_net(ncfg))
+    loads = collections.Counter()
+    load_net = nets.load_net
+
+    def counting_load_net(path, config):
+        loads[str(path)] += 1
+        return load_net(path, config)
+
+    monkeypatch.setattr(nets, "load_net", counting_load_net)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outs = {}
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}.hmc"
+            loads.clear()
+            assert run_cli("infer", *ckpts, "--config", str(cfg), "--variant", "B",
+                           "--widths", "4,4,4,4", "--decoder-width", "4", "--volume", str(vol),
+                           "--workers", str(workers), "--out", str(out)) == 0
+            assert loads == {p: 1 for p in ckpts}
+            outs[workers] = out.read_bytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outs[1] == outs[2] == outs[4]

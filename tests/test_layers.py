@@ -245,6 +245,19 @@ def test_conv_gradients(name):
     layer_fd_check(conv, RNG.normal(size=(2, 5, 6, 7)))
 
 
+@pytest.mark.parametrize("kernel", [(1, 3, 3), (3, 3, 3)])
+def test_one_channel_conv_matches_oracle(kernel):
+    """A single input channel takes its own product path (the stem)."""
+    conv = L.Conv(1, 3, kernel, rng=rng64(), dtype=np.float64)
+    conv.params["bias"][...] = RNG.normal(size=3)
+    cube = np.zeros((3, 1, 3, 3, 3))
+    cube[:, :, 1 - kernel[0] // 2 : 2 + kernel[0] // 2] = conv.params["weight"].reshape((3, 1) + kernel)
+    x = RNG.normal(size=(1, 5, 6, 7))
+    oracle = brute_conv3d(x, cube) + conv.params["bias"][:, None, None, None]
+    np.testing.assert_allclose(conv.forward(x), oracle, atol=1e-10)
+    layer_fd_check(conv, x)
+
+
 def test_conv_rejects_even_kernel_and_channel_mismatch():
     with pytest.raises(ValueError):
         L.Conv(1, 1, (2, 3, 3), rng=rng64())

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tomopick import layers as L
 from tomopick import nets
 
 RNG = np.random.default_rng(31)
@@ -54,6 +55,29 @@ def test_shape_sweep(make):
         net = nets.build_net(cfg)
         y = net.forward(RNG.normal(size=(in_depth, hw, hw)).astype(np.float32))
         assert y.shape == (cfg.class_count, in_depth, hw, hw)
+
+
+def every_layer(net):
+    for layer in net._layers.values():
+        yield layer
+        if isinstance(layer, L.FusionBlock):
+            yield from layer.branches + layer.acts + [layer.proj]
+
+
+@pytest.mark.parametrize("make", [tiny_a, tiny_b])
+def test_inference_forward_keeps_no_state(make):
+    net = nets.build_net(make())
+    x = RNG.normal(size=(8, 16, 16)).astype(np.float32)
+    layers = list(every_layer(net))
+    before = [dict(vars(layer)) for layer in layers]
+    y = net.forward(x, train=False)
+    for layer, attrs in zip(layers, before):
+        assert layer._cache is None, type(layer).__name__
+        now = vars(layer)
+        assert now.keys() == attrs.keys() and all(now[k] is v for k, v in attrs.items())
+    with pytest.raises(L.MissingForwardCacheError):
+        net.backward(np.ones_like(y))
+    assert net.forward(x).tobytes() == y.tobytes()
 
 
 def test_zero_upstream_grad_gives_zero_param_grads():

@@ -161,6 +161,23 @@ def test_aggregate_shape_mismatch_rejected():
         aggregate(lambda w: np.zeros((1, 2, 2, 2)), vol, plan, blend_mask((4, 8, 8)))
 
 
+def test_aggregate_rejects_non_finite_window_at_once():
+    vol = Volume3D(np.zeros((4, 8, 8), dtype=np.float32))
+    plan = WindowPlan.build(vol.dims, (4, 4, 4), (4, 4, 4))
+    calls = []
+
+    def predict(window):
+        calls.append(window)
+        out = np.zeros((1,) + window.shape)
+        if len(calls) == 2:
+            out[0, 1, 2, 3] = np.nan
+        return out
+
+    with pytest.raises(ValueError, match=r"origin \(0, 0, 4\) is not finite"):
+        aggregate(predict, vol, plan, flat_mask((4, 4, 4)))
+    assert len(calls) == 2  # the remaining windows never run
+
+
 def test_aggregate_uncovered_voxels_rejected():
     vol = Volume3D(np.zeros((4, 10, 10), dtype=np.float32))
     plan = WindowPlan.build(vol.dims, (4, 8, 8), (4, 4, 4), clamp_last=False)
