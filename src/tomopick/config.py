@@ -8,6 +8,7 @@ and unknown keys are rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .coords import DEFAULT_OFFSET, ParticleClassSpec
@@ -68,25 +69,34 @@ class PipelineConfig:
             raise ConfigError("nms kernel must be odd and >= 1")
         if not self.classes:
             raise ConfigError("at least one particle class required")
+        for name in ("window", "xy_stride", "z_window", "z_stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"tiling {name} must be >= 1, got {getattr(self, name)}")
+        if self.pad_to < self.window:
+            raise ConfigError(f"tiling pad_to {self.pad_to} is smaller than the window {self.window}")
+        if not 0 < self.edge_floor < 1:
+            raise ConfigError(f"blend edge_floor must be in (0, 1), got {self.edge_floor}")
+        if not math.isfinite(self.spacing) or self.spacing <= 0:
+            raise ConfigError(f"spacing must be finite and > 0, got {self.spacing}")
 
 
-_PIPELINE_FLOATS = {"spacing", "offset", "edge_floor"}
-_PIPELINE_INTS = {"window", "xy_stride", "pad_to", "z_window", "z_stride", "nms_kernel"}
+# Flat-file key -> (PipelineConfig field, value type), in file order.
+_KEYS = {
+    "pipeline.spacing": ("spacing", float),
+    "pipeline.offset": ("offset", float),
+    "tiling.window": ("window", int),
+    "tiling.xy_stride": ("xy_stride", int),
+    "tiling.pad_to": ("pad_to", int),
+    "tiling.z_window": ("z_window", int),
+    "tiling.z_stride": ("z_stride", int),
+    "nms.kernel": ("nms_kernel", int),
+    "blend.edge_floor": ("edge_floor", float),
+}
 _CLASS_FIELDS = ("radius", "sigma_vox", "detect_threshold", "match_radius_tau", "metric_weight")
 
 
 def format_config(cfg: PipelineConfig) -> str:
-    lines = [
-        f"pipeline.spacing = {cfg.spacing!r}",
-        f"pipeline.offset = {cfg.offset!r}",
-        f"tiling.window = {cfg.window}",
-        f"tiling.xy_stride = {cfg.xy_stride}",
-        f"tiling.pad_to = {cfg.pad_to}",
-        f"tiling.z_window = {cfg.z_window}",
-        f"tiling.z_stride = {cfg.z_stride}",
-        f"nms.kernel = {cfg.nms_kernel}",
-        f"blend.edge_floor = {cfg.edge_floor!r}",
-    ]
+    lines = [f"{key} = {getattr(cfg, name)!r}" for key, (name, _) in _KEYS.items()]
     for cls in cfg.classes:
         for fld in _CLASS_FIELDS:
             lines.append(f"class.{cls.name}.{fld} = {getattr(cls, fld)!r}")
@@ -94,9 +104,8 @@ def format_config(cfg: PipelineConfig) -> str:
 
 
 def parse_config(text: str) -> PipelineConfig:
-    scalars: dict[str, str] = {}
+    kwargs = {}
     class_fields: dict[str, dict[str, float]] = {}
-    class_order: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -109,43 +118,23 @@ def parse_config(text: str) -> PipelineConfig:
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in _CLASS_FIELDS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            name = parts[1]
-            if name not in class_fields:
-                class_fields[name] = {}
-                class_order.append(name)
             try:
-                class_fields[name][parts[2]] = float(value)
+                class_fields.setdefault(parts[1], {})[parts[2]] = float(value)
             except ValueError as e:
                 raise ConfigError(f"line {lineno}: {e}") from e
         else:
-            if key in scalars:
+            if key not in _KEYS:
+                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            name, kind = _KEYS[key]
+            if name in kwargs:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            scalars[key] = value
-
-    kwargs = {}
-    for key, value in scalars.items():
-        section, _, name = key.partition(".")
-        target = {
-            "pipeline.spacing": "spacing",
-            "pipeline.offset": "offset",
-            "tiling.window": "window",
-            "tiling.xy_stride": "xy_stride",
-            "tiling.pad_to": "pad_to",
-            "tiling.z_window": "z_window",
-            "tiling.z_stride": "z_stride",
-            "nms.kernel": "nms_kernel",
-            "blend.edge_floor": "edge_floor",
-        }.get(key)
-        if target is None:
-            raise ConfigError(f"unknown key {key!r}")
-        try:
-            kwargs[target] = float(value) if target in _PIPELINE_FLOATS | {"offset"} else int(value)
-        except ValueError as e:
-            raise ConfigError(f"{key}: {e}") from e
+            try:
+                kwargs[name] = kind(value)
+            except ValueError as e:
+                raise ConfigError(f"line {lineno}: {key}: {e}") from e
 
     classes = []
-    for name in class_order:
-        fields_here = class_fields[name]
+    for name, fields_here in class_fields.items():
         missing = [f for f in _CLASS_FIELDS if f not in fields_here]
         if missing:
             raise ConfigError(f"class {name!r}: missing fields {missing}")

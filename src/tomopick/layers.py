@@ -10,8 +10,10 @@ attribute on any layer, so it keeps no activations alive, a following backward
 raises `MissingForwardCacheError`, and one net can serve several threads.
 
 One anisotropic `Conv` serves as per-slice 2D conv, strided depth conv and
-dense (dilated) 3D conv; the rest are depth pooling, pixel shuffle, nearest
-upsampling, SiLU, scSE attention and the multi-scale fusion block.
+dense (dilated) 3D conv; for any stride, its forward and backward run one
+matrix product per kernel tap on a flat phase layout of the padded input. The
+rest are depth pooling, pixel shuffle, nearest upsampling, SiLU, scSE
+attention and the multi-scale fusion block.
 """
 
 from __future__ import annotations
@@ -78,6 +80,14 @@ class Conv(Layer):
     depth-only conv and (k, k, k) a dense 3D conv. The stored weight drops the
     unit axes of an anisotropic kernel: (cout, cin, k, k) for (1, k, k) and
     (cout, cin, k) for (k, 1, 1); cubic kernels keep all three axes.
+
+    Phase layout: each stride-s axis of the padded input splits into s phases
+    (every s-th element), and the phase grids lie end to end in one flat row
+    per channel (for stride 1, the padded input), followed by the zeros that
+    keep every tap's slice in bounds. Tap t of an axis reads phase p at shift
+    q, (q, p) = divmod(t * dilation, s), so each tap is one column offset into
+    the row: the forward is one (cout, cin) product per tap, cropped once, and
+    the backward is its adjoint over the same offsets.
     """
 
     def __init__(self, cin, cout, kernel, stride=(1, 1, 1), dilation=1, rng=None, dtype=np.float32):
@@ -94,72 +104,76 @@ class Conv(Layer):
         self.params["bias"] = np.zeros(cout, dtype=dtype)
         self.zero_grads()
 
-    def _taps(self, out):
-        """Each kernel tap with the strided slice of the padded input that it
-        multiplies into the (out)-shaped output grid."""
-        dil = self.dilation
+    def _layout(self, dims):
+        """For an input of extents `dims`: the output extents, the output grid
+        (out_d, lh, lw), the phase view shape (cin, sd, sh, sw, ld, lh, lw) of
+        the row's head, and each kernel tap's weight index with its offset."""
+        out = tuple(-(-n // s) for n, s in zip(dims, self.stride))
+        ld, lh, lw = (-(-(n + 2 * p) // s) for n, p, s in zip(dims, self.pad, self.stride))
+        _, sh, sw = self.stride
+        offsets = []
         for tap in itertools.product(*(range(k) for k in self.kernel)):
-            yield (slice(None), slice(None)) + tap, (slice(None),) + tuple(
-                slice(t * dil, t * dil + s * (o - 1) + 1, s) for t, s, o in zip(tap, self.stride, out)
-            )
+            (qd, pd), (qh, ph), (qw, pw) = (divmod(t * self.dilation, s) for t, s in zip(tap, self.stride))
+            off = ((pd * sh + ph) * sw + pw) * ld * lh * lw + (qd * lh + qh) * lw + qw
+            offsets.append(((slice(None), slice(None)) + tap, off))
+        return out, (out[0], lh, lw), (self.cin,) + self.stride + (ld, lh, lw), offsets
+
+    def _phases(self, flat, view, dims):
+        """Each phase grid in the row array `flat` and the input slice it holds;
+        phase p of an axis keeps padded index q * s + p at grid index q."""
+        grids = flat[:, : math.prod(view[1:])].reshape(view)
+        axes = []
+        for n, pad, s in zip(dims, self.pad, self.stride):
+            spans = [(p, -(-(pad - p) // s), -(-(n + pad - p) // s)) for p in range(s)]
+            axes.append([(p, slice(q0, q1), slice(q0 * s + p - pad, n, s)) for p, q0, q1 in spans])
+        for (pd, qd, xd), (ph, qh, xh), (pw, qw, xw) in itertools.product(*axes):
+            yield grids[:, pd, ph, pw, qd, qh, qw], (slice(None), xd, xh, xw)
 
     def forward(self, x, train=True):
         if x.shape[0] != self.cin:
             raise ValueError(f"expected {self.cin} channels, got {x.shape[0]}")
-        (pd, ph, pw), (_, d, h, w) = self.pad, x.shape
-        dp, hp, wp = d + 2 * pd, h + 2 * ph, w + 2 * pw
-        # Each channel row of `flat` runs 2 * (ph * wp + pw) zeros past the
-        # padded input, so every shifted slice in _shifted_gemm stays in bounds.
-        flat = np.zeros((self.cin, dp * hp * wp + 2 * (ph * wp + pw)), dtype=x.dtype)
-        xp = flat[:, : dp * hp * wp].reshape(self.cin, dp, hp, wp)
-        xp[:, pd : pd + d, ph : ph + h, pw : pw + w] = x
-        wgt = self.params["weight"].reshape((self.cout, self.cin) + self.kernel)
-        if self.stride == (1, 1, 1):
-            y = np.ascontiguousarray(self._shifted_gemm(flat, wgt, (d, hp, wp))[:, :, :h, :w])
-        else:
-            out = tuple(-(-n // s) for n, s in zip(x.shape[1:], self.stride))
-            y = np.zeros((self.cout,) + out, dtype=x.dtype)
-            for w_tap, x_tap in self._taps(out):
-                y += np.einsum("cdhw,oc->odhw", xp[x_tap], wgt[w_tap], optimize=True)
-        y += self.params["bias"][:, None, None, None]
-        if train:
-            self._cache = (xp, x.shape)
-        return y
-
-    def _shifted_gemm(self, flat, wgt, grid):
-        """Stride-1 taps on the flattened padded input `flat` (cin, n + tail).
-
-        On the padded (height, width) grid a kernel tap is one constant flat
-        offset, so each tap is one product of its (cout, cin) weight with a
-        column slice of `flat`, a view. Returns the sum on the (d, hp, wp)
-        grid; the caller crops the columns past (h, w).
-        """
-        _, hp, wp = grid
+        out, grid, view, offsets = self._layout(x.shape[1:])
         n = math.prod(grid)
-        acc = np.empty((self.cout, n), dtype=flat.dtype)
+        size = max(math.prod(view[1:]), max(off for _, off in offsets) + n)
+        flat = np.zeros((self.cin, size), dtype=x.dtype)
+        for phase, src in self._phases(flat, view, x.shape[1:]):
+            phase[...] = x[src]
+        wgt = self.params["weight"].reshape((self.cout, self.cin) + self.kernel)
+        acc = np.empty((self.cout, n), dtype=x.dtype)
         tmp = np.empty_like(acc)
         # With one input channel, matmul leaves BLAS and runs several times
         # slower than a broadcast multiply, which gives the same products.
         product = np.multiply if self.cin == 1 else np.matmul
-        taps = itertools.product(*(range(k) for k in self.kernel))
-        for i, (a, b, c) in enumerate(taps):
-            off = self.dilation * ((a * hp + b) * wp + c)
-            product(wgt[:, :, a, b, c], flat[:, off : off + n], out=tmp if i else acc)
+        for i, (tap, off) in enumerate(offsets):
+            product(wgt[tap], flat[:, off : off + n], out=tmp if i else acc)
             if i:
                 acc += tmp
-        return acc.reshape((self.cout,) + grid)
+        del tmp  # lets the output below reuse this buffer's memory
+        y = np.ascontiguousarray(acc.reshape((self.cout,) + grid)[:, :, : out[1], : out[2]])
+        y += self.params["bias"][:, None, None, None]
+        if train:
+            self._cache = (flat, x.shape)
+        return y
 
     def backward(self, gy):
-        xp, xshape = self._take_cache()
+        flat, xshape = self._take_cache()
+        out, grid, view, offsets = self._layout(xshape[1:])
+        n = math.prod(grid)
+        g = np.zeros((self.cout, n), dtype=flat.dtype)
+        g.reshape((self.cout,) + grid)[:, :, : out[1], : out[2]] = gy
         wgt = self.params["weight"].reshape((self.cout, self.cin) + self.kernel)
         gw = self.grads["weight"].reshape(wgt.shape)
-        gxp = np.zeros_like(xp)
-        for w_tap, x_tap in self._taps(gy.shape[1:]):
-            gw[w_tap] += np.einsum("odhw,cdhw->oc", gy, xp[x_tap], optimize=True)
-            gxp[x_tap] += np.einsum("odhw,oc->cdhw", gy, wgt[w_tap], optimize=True)
+        gflat = np.zeros_like(flat)
+        tmp = np.empty((self.cin, n), dtype=flat.dtype)
+        for tap, off in offsets:
+            gw[tap] += g @ flat[:, off : off + n].T
+            np.matmul(wgt[tap].T, g, out=tmp)
+            gflat[:, off : off + n] += tmp
         self.grads["bias"] += gy.sum(axis=(1, 2, 3))
-        (pd, ph, pw), (_, d, h, w) = self.pad, xshape
-        return gxp[:, pd : pd + d, ph : ph + h, pw : pw + w]
+        gx = np.empty(xshape, dtype=flat.dtype)
+        for phase, src in self._phases(gflat, view, xshape[1:]):
+            gx[src] = phase
+        return gx
 
 
 class DepthPool(Layer):
@@ -179,13 +193,7 @@ class DepthPool(Layer):
             if train:
                 self._cache = x.shape
             return 0.5 * (x[:, 0::2] + x[:, 1::2])
-        idx = np.stack(
-            [
-                np.clip(np.arange(d) - 1, 0, d - 1),
-                np.arange(d),
-                np.clip(np.arange(d) + 1, 0, d - 1),
-            ]
-        )
+        idx = np.clip(np.arange(d) + np.array([[-1], [0], [1]]), 0, d - 1)
         if train:
             self._cache = (x.shape, idx)
         return (x[:, idx[0]] + x[:, idx[1]] + x[:, idx[2]]) / 3.0
@@ -381,20 +389,12 @@ class FusionBlock(Layer):
         outs = [act.forward(br.forward(cat, train), train) for br, act in zip(self.branches, self.acts)]
         y = self.proj.forward(np.concatenate(outs, axis=0), train)
         if train:
-            self._cache = (factors, [x.shape for x in xs], outs[0].shape[0])
+            self._cache = factors
         return y
 
     def backward(self, gy):
-        factors, xshapes, mid = self._take_cache()
-        gfused = self.proj.backward(gy)
-        gcat = None
-        for i, (br, act) in enumerate(zip(self.branches, self.acts)):
-            g = br.backward(act.backward(gfused[i * mid : (i + 1) * mid]))
-            gcat = g if gcat is None else gcat + g
-        gxs = []
-        c0 = 0
-        for f, xshape in zip(factors, xshapes):
-            c = xshape[0]
-            gxs.append(upsample_nearest_backward(gcat[c0 : c0 + c], f))
-            c0 += c
-        return gxs
+        factors = self._take_cache()
+        gfused = np.split(self.proj.backward(gy), len(self.branches))
+        gcat = sum(br.backward(act.backward(g)) for br, act, g in zip(self.branches, self.acts, gfused))
+        gxs = np.split(gcat, np.cumsum(self.in_channels)[:-1])
+        return [upsample_nearest_backward(g, f) for g, f in zip(gxs, factors)]

@@ -78,6 +78,13 @@ def _chain(h, train, *layers):
     return h
 
 
+def _unchain(g, *layers):
+    """Backward through a `_chain` of the same layers, last layer first."""
+    for layer in reversed(layers):
+        g = layer.backward(g)
+    return g
+
+
 class ToyNet:
     """Common plumbing: named parameter access, grad reset, checkpoint state."""
 
@@ -146,40 +153,28 @@ class VariantANet(ToyNet):
         w0, w1, w2 = config.widths[:3]
         c = config.class_count
         reg = self._register
-        self.stem = reg("stem", L.Conv(1, w0, SLICE, rng=rng, dtype=dt))
-        self.act0 = reg("act0", L.SiLU())
-        self.s1 = reg("s1", L.Conv(w0, w1, SLICE, HALVE_HW, rng=rng, dtype=dt))
-        self.act1 = reg("act1", L.SiLU())
-        if config.strided_depth_pool:
-            self.dp1 = reg("dp1", L.Conv(w1, w1, DEPTH, HALVE_D, rng=rng, dtype=dt))
-        else:
-            self.dp1 = reg("dp1", L.DepthPool("halve"))
-        self.s2 = reg("s2", L.Conv(w1, w2, SLICE, HALVE_HW, rng=rng, dtype=dt))
-        self.act2 = reg("act2", L.SiLU())
-        if config.strided_depth_pool:
-            self.dp2 = reg("dp2", L.Conv(w2, w2, DEPTH, HALVE_D, rng=rng, dtype=dt))
-        else:
-            self.dp2 = reg("dp2", L.DepthPool("halve"))
-        self.bott = reg("bott", L.Conv(w2, w2, CUBE, rng=rng, dtype=dt))
-        self.act3 = reg("act3", L.SiLU())
-        self.up_depth = reg("up_depth", L.UpsampleNearest((4, 1, 1)))
-        self.head = reg("head", L.Conv(w2, c * 16, POINT, rng=rng, dtype=dt))
-        self.shuffle = reg("shuffle", L.PixelShuffleHW(4))
+        strided = config.strided_depth_pool
+        self.chain = (
+            reg("stem", L.Conv(1, w0, SLICE, rng=rng, dtype=dt)),
+            reg("act0", L.SiLU()),
+            reg("s1", L.Conv(w0, w1, SLICE, HALVE_HW, rng=rng, dtype=dt)),
+            reg("act1", L.SiLU()),
+            reg("dp1", L.Conv(w1, w1, DEPTH, HALVE_D, rng=rng, dtype=dt) if strided else L.DepthPool("halve")),
+            reg("s2", L.Conv(w1, w2, SLICE, HALVE_HW, rng=rng, dtype=dt)),
+            reg("act2", L.SiLU()),
+            reg("dp2", L.Conv(w2, w2, DEPTH, HALVE_D, rng=rng, dtype=dt) if strided else L.DepthPool("halve")),
+            reg("bott", L.Conv(w2, w2, CUBE, rng=rng, dtype=dt)),
+            reg("act3", L.SiLU()),
+            reg("up_depth", L.UpsampleNearest((4, 1, 1))),
+            reg("head", L.Conv(w2, c * 16, POINT, rng=rng, dtype=dt)),
+            reg("shuffle", L.PixelShuffleHW(4)),
+        )
 
     def forward(self, x, train=True):
-        return _chain(self._check_input(x), train, self.stem, self.act0, self.s1, self.act1, self.dp1,
-                      self.s2, self.act2, self.dp2, self.bott, self.act3, self.up_depth, self.head,
-                      self.shuffle)
+        return _chain(self._check_input(x), train, *self.chain)
 
     def backward(self, gy):
-        g = self.shuffle.backward(gy)
-        g = self.head.backward(g)
-        g = self.up_depth.backward(g)
-        g = self.bott.backward(self.act3.backward(g))
-        g = self.s2.backward(self.act2.backward(self.dp2.backward(g)))
-        g = self.s1.backward(self.act1.backward(self.dp1.backward(g)))
-        g = self.stem.backward(self.act0.backward(g))
-        return g
+        return _unchain(gy, *self.chain)
 
 
 class VariantBNet(ToyNet):
@@ -196,47 +191,40 @@ class VariantBNet(ToyNet):
         wd = config.decoder_width
         c = config.class_count
         reg = self._register
-        self.stem = reg("stem", L.Conv(1, w0, SLICE, rng=rng, dtype=dt))
-        self.act0 = reg("act0", L.SiLU())
-        self.s1 = reg("s1", L.Conv(w0, w1, SLICE, HALVE_HW, rng=rng, dtype=dt))
-        self.act1 = reg("act1", L.SiLU())
-        self.dp1 = reg("dp1", L.DepthPool("halve"))
-        self.s2 = reg("s2", L.Conv(w1, w2, SLICE, HALVE_HW, rng=rng, dtype=dt))
-        self.act2 = reg("act2", L.SiLU())
-        self.dp2 = reg("dp2", L.DepthPool("halve"))
-        self.s3 = reg("s3", L.Conv(w2, w3, SLICE, HALVE_HW, rng=rng, dtype=dt))
-        self.act3 = reg("act3", L.SiLU())
-        self.dp3 = reg("dp3", L.DepthPool("preserve"))
+        # Each stage's output also feeds the fusion block.
+        self.stages = (
+            (reg("stem", L.Conv(1, w0, SLICE, rng=rng, dtype=dt)), reg("act0", L.SiLU()),
+             reg("s1", L.Conv(w0, w1, SLICE, HALVE_HW, rng=rng, dtype=dt)), reg("act1", L.SiLU()),
+             reg("dp1", L.DepthPool("halve"))),
+            (reg("s2", L.Conv(w1, w2, SLICE, HALVE_HW, rng=rng, dtype=dt)), reg("act2", L.SiLU()),
+             reg("dp2", L.DepthPool("halve"))),
+            (reg("s3", L.Conv(w2, w3, SLICE, HALVE_HW, rng=rng, dtype=dt)), reg("act3", L.SiLU()),
+             reg("dp3", L.DepthPool("preserve"))),
+        )
         self.fusion = reg("fusion", L.FusionBlock([w1, w2, w3], wd, wd, rng, dt))
-        self.dec = []
-        cin = wd
+        decoder = []
         for i, f in enumerate(self.UP_FACTORS):
-            conv = reg(f"dec{i}.conv", L.Conv(cin, wd, CUBE, rng=rng, dtype=dt))
-            act = reg(f"dec{i}.act", L.SiLU())
-            scse = reg(f"dec{i}.scse", L.SCSEBlock(wd, 2, rng, dt))
-            up = reg(f"dec{i}.up", L.UpsampleNearest(f))
-            self.dec.append((conv, act, scse, up))
-            cin = wd
-        self.head = reg("head", L.Conv(wd, c, POINT, rng=rng, dtype=dt))
+            decoder += [
+                reg(f"dec{i}.conv", L.Conv(wd, wd, CUBE, rng=rng, dtype=dt)),
+                reg(f"dec{i}.act", L.SiLU()),
+                reg(f"dec{i}.scse", L.SCSEBlock(wd, 2, rng, dt)),
+                reg(f"dec{i}.up", L.UpsampleNearest(f)),
+            ]
+        self.decoder = (*decoder, reg("head", L.Conv(wd, c, POINT, rng=rng, dtype=dt)))
 
     def forward(self, x, train=True):
-        f1 = _chain(self._check_input(x), train, self.stem, self.act0, self.s1, self.act1, self.dp1)
-        f2 = _chain(f1, train, self.s2, self.act2, self.dp2)
-        f3 = _chain(f2, train, self.s3, self.act3, self.dp3)
-        h = self.fusion.forward([f1, f2, f3], train)
-        for block in self.dec:
-            h = _chain(h, train, *block)
-        return self.head.forward(h, train)
+        h, features = self._check_input(x), []
+        for stage in self.stages:
+            h = _chain(h, train, *stage)
+            features.append(h)
+        return _chain(self.fusion.forward(features, train), train, *self.decoder)
 
     def backward(self, gy):
-        g = self.head.backward(gy)
-        for conv, act, scse, up in reversed(self.dec):
-            g = conv.backward(act.backward(scse.backward(up.backward(g))))
-        g1, g2, g3 = self.fusion.backward(g)
-        g2 = g2 + self.s3.backward(self.act3.backward(self.dp3.backward(g3)))
-        g1 = g1 + self.s2.backward(self.act2.backward(self.dp2.backward(g2)))
-        g = self.s1.backward(self.act1.backward(self.dp1.backward(g1)))
-        return self.stem.backward(self.act0.backward(g))
+        gfeatures = self.fusion.backward(_unchain(gy, *self.decoder))
+        g = 0
+        for stage, gf in zip(reversed(self.stages), reversed(gfeatures)):
+            g = _unchain(g + gf, *stage)
+        return g
 
 
 def build_net(config: NetConfig) -> ToyNet:

@@ -7,6 +7,7 @@ All files are little-endian; payloads are 32-bit floats.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -120,67 +121,53 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return buf
 
 
-def _read_payload(f, shape: tuple[int, ...], path) -> np.ndarray:
-    count = int(np.prod(shape))
-    raw = _read_exact(f, 4 * count, "payload")
-    if f.read(1) != b"":
-        raise TruncatedFileError(f"{path}: trailing bytes after payload")
-    values = np.frombuffer(raw, dtype="<f4").reshape(shape)
+def _read_grid(path, magic: bytes, ndim: int) -> tuple[np.ndarray, float]:
+    """Read a VOL1 (3 dims) or HMC1 (4 dims) file: magic, little-endian u32
+    dims, f32 spacing and the f32 payload; returns (values, spacing)."""
+    with open(path, "rb") as f:
+        found = _read_exact(f, 4, "magic")
+        if found != magic:
+            raise BadMagicError(f"{path}: bad magic {found!r}")
+        dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims"))
+        if min(dims) == 0 or math.prod(dims) > MAX_VOXELS:
+            raise DimOverflowError(f"{path}: bad dims {dims}")
+        (spacing,) = struct.unpack("<f", _read_exact(f, 4, "spacing"))
+        if not np.isfinite(spacing) or spacing <= 0:
+            raise NonFiniteValuesError(f"{path}: bad spacing {spacing}")
+        raw = _read_exact(f, 4 * math.prod(dims), "payload")
+        if f.read(1) != b"":
+            raise TruncatedFileError(f"{path}: trailing bytes after payload")
+    values = np.frombuffer(raw, dtype="<f4").reshape(dims)
     if not np.all(np.isfinite(values)):
         raise NonFiniteValuesError(f"{path}: payload contains non-finite values")
-    return values.astype(np.float32)
+    return values.astype(np.float32), float(np.float32(spacing))
+
+
+def _write_grid(path, magic: bytes, values: np.ndarray, spacing: float) -> None:
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(struct.pack(f"<{values.ndim}I", *values.shape))
+        f.write(struct.pack("<f", np.float32(spacing)))
+        f.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
 
 
 def read_volume(path) -> Volume3D:
     """Read a VOL1 file; rejects bad magic, dim overflow, truncation, NaN/Inf."""
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != VOL_MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}")
-        d, h, w = struct.unpack("<3I", _read_exact(f, 12, "dims"))
-        if min(d, h, w) == 0 or d * h * w > MAX_VOXELS:
-            raise DimOverflowError(f"{path}: bad dims ({d}, {h}, {w})")
-        (spacing,) = struct.unpack("<f", _read_exact(f, 4, "spacing"))
-        if not np.isfinite(spacing) or spacing <= 0:
-            raise NonFiniteValuesError(f"{path}: bad spacing {spacing}")
-        values = _read_payload(f, (d, h, w), path)
-    return Volume3D(values, float(np.float32(spacing)))
+    return Volume3D(*_read_grid(path, VOL_MAGIC, 3))
 
 
 def write_volume(vol: Volume3D, path) -> None:
     """Write a VOL1 file; read_volume(write_volume(v)) is bit-exact."""
-    d, h, w = vol.dims
-    with open(path, "wb") as f:
-        f.write(VOL_MAGIC)
-        f.write(struct.pack("<3I", d, h, w))
-        f.write(struct.pack("<f", np.float32(vol.spacing)))
-        f.write(np.ascontiguousarray(vol.values, dtype="<f4").tobytes())
+    _write_grid(path, VOL_MAGIC, vol.values, vol.spacing)
 
 
 def read_heatmap(path) -> Heatmap:
     """Read an HMC1 file (VOL1 plus a leading channel-count field)."""
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != HEATMAP_MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}")
-        c, d, h, w = struct.unpack("<4I", _read_exact(f, 16, "dims"))
-        if min(c, d, h, w) == 0 or c * d * h * w > MAX_VOXELS:
-            raise DimOverflowError(f"{path}: bad dims ({c}, {d}, {h}, {w})")
-        (spacing,) = struct.unpack("<f", _read_exact(f, 4, "spacing"))
-        if not np.isfinite(spacing) or spacing <= 0:
-            raise NonFiniteValuesError(f"{path}: bad spacing {spacing}")
-        data = _read_payload(f, (c, d, h, w), path)
-    return Heatmap(data, float(np.float32(spacing)))
+    return Heatmap(*_read_grid(path, HEATMAP_MAGIC, 4))
 
 
 def write_heatmap(hm: Heatmap, path) -> None:
-    c = hm.classes
-    d, h, w = hm.dims
-    with open(path, "wb") as f:
-        f.write(HEATMAP_MAGIC)
-        f.write(struct.pack("<4I", c, d, h, w))
-        f.write(struct.pack("<f", np.float32(hm.spacing)))
-        f.write(np.ascontiguousarray(hm.data, dtype="<f4").tobytes())
+    _write_grid(path, HEATMAP_MAGIC, hm.data, hm.spacing)
 
 
 def pad_volume(

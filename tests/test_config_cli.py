@@ -106,6 +106,31 @@ def test_bad_config_file_exits_3(tmp_path, capsys):
     assert run_cli("plan", "--dims", "64", "64", "64", "--config", str(bad)) == 3
 
 
+@pytest.mark.parametrize("line", [
+    "tiling.window = 0",
+    "tiling.xy_stride = 0",
+    "tiling.z_window = 0",
+    "tiling.z_stride = 0",
+    "tiling.pad_to = 100",
+    "blend.edge_floor = 0.0",
+    "blend.edge_floor = 1.0",
+    "pipeline.spacing = 0.0",
+    "pipeline.spacing = nan",
+    "pipeline.spacing = inf",
+])
+def test_out_of_range_config_value_exits_3(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    assert run_cli("plan", "--dims", "64", "64", "64", "--config", str(bad)) == 3
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_z_stride_may_exceed_z_window(tmp_path):
+    cfg = tmp_path / "sparse_z.cfg"
+    cfg.write_text("tiling.z_window = 8\ntiling.z_stride = 16\n")
+    assert run_cli("plan", "--dims", "64", "64", "64", "--config", str(cfg)) == 0
+
+
 def test_missing_volume_exits_4(tmp_path):
     out = tmp_path / "hm.hmc"
     code = run_cli(

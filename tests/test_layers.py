@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_conv2d, brute_conv3d, fd_grad
 from tomopick import layers as L
@@ -256,6 +258,48 @@ def test_one_channel_conv_matches_oracle(kernel):
     oracle = brute_conv3d(x, cube) + conv.params["bias"][:, None, None, None]
     np.testing.assert_allclose(conv.forward(x), oracle, atol=1e-10)
     layer_fd_check(conv, x)
+
+
+def embedded_cube(conv):
+    """The conv's weight zero-embedded in a (cout, cin, k, k, k) cube, k the
+    largest kernel extent, for the dense `brute_conv3d` oracle."""
+    k = max(conv.kernel)
+    cube = np.zeros((conv.cout, conv.cin, k, k, k))
+    centre = tuple(slice((k - ki) // 2, (k + ki) // 2) for ki in conv.kernel)
+    cube[(...,) + centre] = conv.params["weight"].reshape((conv.cout, conv.cin) + conv.kernel)
+    return cube
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.tuples(*[st.sampled_from((1, 3, 5))] * 3),
+    stride=st.tuples(*[st.sampled_from((1, 2, 3))] * 3),
+    dilation=st.sampled_from((1, 2)),
+    dims=st.tuples(*[st.integers(1, 7)] * 3),
+    cin=st.integers(1, 3),
+    cout=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_property_oracle_and_adjoint(kernel, stride, dilation, dims, cin, cout, seed):
+    """Any kernel, stride and dilation: the forward is the strided dense
+    oracle, and the backward is its adjoint,
+    <conv(x) - bias, gy> == <x, gx> == <W, grad W>."""
+    rng = np.random.default_rng(seed)
+    conv = L.Conv(cin, cout, kernel, stride, dilation, rng, np.float64)
+    bias = conv.params["bias"]
+    bias[...] = rng.normal(size=cout)
+    x = rng.normal(size=(cin,) + dims)
+    y = conv.forward(x)
+    oracle = brute_conv3d(x, embedded_cube(conv), dilation)[:, :: stride[0], :: stride[1], :: stride[2]]
+    np.testing.assert_allclose(y, oracle + bias[:, None, None, None], atol=1e-10)
+    gy = rng.normal(size=y.shape)
+    gx = conv.backward(gy)
+    assert gx.shape == x.shape
+    linear = np.vdot(y - bias[:, None, None, None], gy)
+    np.testing.assert_allclose(np.vdot(x, gx), linear, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(np.vdot(conv.params["weight"], conv.grads["weight"]), linear,
+                               rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(conv.grads["bias"], gy.sum(axis=(1, 2, 3)), rtol=1e-12)
 
 
 def test_conv_rejects_even_kernel_and_channel_mismatch():
