@@ -118,8 +118,11 @@ def parse_config(text: str) -> PipelineConfig:
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in _CLASS_FIELDS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            fields_here = class_fields.setdefault(parts[1], {})
+            if parts[2] in fields_here:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             try:
-                class_fields.setdefault(parts[1], {})[parts[2]] = float(value)
+                fields_here[parts[2]] = float(value)
             except ValueError as e:
                 raise ConfigError(f"line {lineno}: {e}") from e
         else:

@@ -3,6 +3,8 @@ and conversion of voxel peaks to physical pick coordinates."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.ndimage import maximum_filter
 
@@ -10,6 +12,7 @@ from .coords import DEFAULT_OFFSET, ParticleClassSpec, PickRecord, PickSet, pixe
 from .volgrid import Heatmap
 
 DEFAULT_NMS_KERNEL = 7
+_TIE_CHUNK = 4096  # candidates per vectorized tie scan
 
 
 def local_maxima(
@@ -28,32 +31,32 @@ def local_maxima(
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError("kernel must be odd and >= 1")
     channel = np.asarray(channel)
-    if kernel == 1:
-        return [
-            (tuple(int(i) for i in idx), float(channel[tuple(idx)]))
-            for idx in np.ndindex(channel.shape)
-            if min_value is None or channel[tuple(idx)] >= min_value
-        ]
     # 'nearest' edge handling only duplicates in-bounds voxels, so the filter
     # max equals the clipped-neighborhood max.
     neigh_max = maximum_filter(channel, size=kernel, mode="nearest")
     candidate = channel == neigh_max
     if min_value is not None:
         candidate &= channel >= min_value
+    cand = np.argwhere(candidate)
+    values = channel[candidate]
+    # A candidate is the max of its neighborhood, so it ties a voxel there iff
+    # that voxel is >= it. It is dropped when such a voxel precedes it in
+    # (z, y, x) order: scan the preceding half of the neighborhood, padded
+    # with -inf outside the bounds.
     r = kernel // 2
-    d, h, w = channel.shape
-    peaks = []
-    for z, y, x in np.argwhere(candidate):
-        val = channel[z, y, x]
-        z0, y0, x0 = max(0, z - r), max(0, y - r), max(0, x - r)
-        region = channel[z0 : z + r + 1, y0 : y + r + 1, x0 : x + r + 1]
-        ties = np.argwhere(region == val)
-        if len(ties) > 1:
-            first = min((int(tz) + z0, int(ty) + y0, int(tx) + x0) for tz, ty, tx in ties)
-            if (int(z), int(y), int(x)) != first:
-                continue
-        peaks.append(((int(z), int(y), int(x)), float(val)))
-    return peaks
+    padded = np.pad(channel.astype(np.result_type(channel, np.float32), copy=False), r,
+                    constant_values=-np.inf)
+    strides = np.array(padded.strides) // padded.itemsize
+    offsets = np.array([o for o in itertools.product(range(-r, r + 1), repeat=3) if o < (0, 0, 0)],
+                       dtype=np.intp).reshape(-1, 3) @ strides
+    flat = padded.reshape(-1)
+    centers = (cand + r) @ strides
+    keep = np.ones(len(cand), dtype=bool)
+    for i in range(0, len(cand), _TIE_CHUNK):
+        block = slice(i, i + _TIE_CHUNK)
+        ties = flat[centers[block, None] + offsets] >= values[block, None]
+        keep[block] = ~ties.any(axis=1)
+    return list(zip(map(tuple, cand[keep].tolist()), values[keep].tolist()))
 
 
 def extract_picks(

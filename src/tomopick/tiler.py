@@ -3,10 +3,19 @@ masks, weighted aggregation, and cross-model ensembling.
 
 Aggregation accumulates in 64-bit and always consumes window predictions in
 plan order, so the output is bit-identical for any worker count.
+
+Aggregation streams along z. The plan is z-major, so once the z origin moves
+past a row, no later window adds to it. The float64 numerator and denominator
+are therefore held only for a slab of rows, z_window plus the largest z gap
+deep: when the z origin moves on, the finished rows are divided straight into
+the float32 output and the slab slides down. Peak memory is the output plus
+O(C * (z_window + z_stride) * H * W), not O(C * D * H * W). The plan's
+coverage of the volume is checked before the first window runs.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -90,6 +99,16 @@ def flat_mask(window: tuple[int, int, int]) -> BlendMask:
     return BlendMask(np.ones(window, dtype=np.float64), 1.0)
 
 
+def _covers(origins, window: int, length: int) -> bool:
+    """Whether windows at these origins leave no gap in [0, length)."""
+    end = 0
+    for o in sorted(o for o, _ in origins):
+        if o > end:
+            return False
+        end = max(end, o + window)
+    return end >= length
+
+
 def aggregate(
     predictor: Predictor,
     volume: Volume3D,
@@ -100,11 +119,18 @@ def aggregate(
     """Blend-weighted mean of window predictions over the whole volume.
 
     Workers evaluate windows in parallel; accumulation happens serially in
-    plan order with float64 accumulators.
+    plan order into float64 slab accumulators that stream along z.
     """
     wz, wy, wx = plan.window
     if mask.weights.shape != plan.window:
         raise ValueError("mask shape does not match plan window")
+    d, h, w = volume.dims
+    zs = [z for z, _ in plan.origins_z]
+    if zs != sorted(zs):
+        raise ValueError("window plan z origins are not in increasing order")
+    if not all(_covers(o, n, length) for o, n, length in
+               zip((plan.origins_z, plan.origins_y, plan.origins_x), plan.window, volume.dims)):
+        raise ValueError("window plan leaves voxels uncovered")
     vol = volume.values
     origins = list(plan.iter_origins())
 
@@ -118,42 +144,78 @@ def aggregate(
             raise ValueError(f"predictor output for the window at origin {origin} is not finite")
         return pred
 
-    num = None
-    den = np.zeros(volume.dims, dtype=np.float64)
+    # The slab holds rows [base, base + depth) of the volume.
+    depth = min(d, wz + max((b - a for a, b in zip(zs, zs[1:])), default=0))
+    den = np.zeros((depth, h, w), dtype=np.float64)
     m = mask.weights
+    num = prod = out = None
+    base = 0
+
+    def flush(rows):
+        nonlocal base
+        if den[:rows].min() <= 0.0:
+            raise ValueError("window plan leaves voxels uncovered")
+        np.divide(num[:, :rows], den[:rows], out=out[:, base : base + rows], casting="same_kind")
+        # Slide in chunks of `rows` planes, which never overlap, so no
+        # temporary is made. The top `rows` planes keep their old values,
+        # which are still zero: no window has reached them, as the slab is
+        # z_window plus the largest z gap deep.
+        for i in range(0, depth - rows, rows):
+            k = min(rows, depth - rows - i)
+            num[:, i : i + k] = num[:, i + rows : i + rows + k]
+            den[i : i + k] = den[i + rows : i + rows + k]
+        base += rows
 
     def consume(origin, pred):
-        nonlocal num
+        nonlocal num, prod, out
         if num is None:
-            num = np.zeros((pred.shape[0],) + volume.dims, dtype=np.float64)
+            num = np.zeros((pred.shape[0], depth, h, w), dtype=np.float64)
+            prod = np.empty(pred.shape[1:], dtype=np.float64)
+            out = np.empty((pred.shape[0], d, h, w), dtype=np.float32)
         z, y, x = origin
-        num[:, z : z + wz, y : y + wy, x : x + wx] += m[None] * pred
-        den[z : z + wz, y : y + wy, x : x + wx] += m
+        if z > base:
+            flush(z - base)
+        zb = z - base
+        for c in range(pred.shape[0]):
+            np.multiply(m, pred[c], out=prod)
+            num[c, zb : zb + wz, y : y + wy, x : x + wx] += prod
+        den[zb : zb + wz, y : y + wy, x : x + wx] += m
 
     if workers <= 1:
         for origin in origins:
             consume(origin, run(origin))
     else:
+        # At most 2 * workers windows are in flight, so predictions cannot
+        # pile up ahead of the serial consumer.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for origin, pred in zip(origins, pool.map(run, origins)):
-                consume(origin, pred)
-    if den.min() <= 0.0:
-        raise ValueError("window plan leaves voxels uncovered")
-    return Heatmap((num / den[None]).astype(np.float32), volume.spacing)
+            pending = collections.deque()
+            for origin in origins:
+                pending.append((origin, pool.submit(run, origin)))
+                if len(pending) == 2 * workers:
+                    done, future = pending.popleft()
+                    consume(done, future.result())
+            for done, future in pending:
+                consume(done, future.result())
+    flush(d - base)
+    return Heatmap(out, volume.spacing)
 
 
 def ensemble(heatmaps: Sequence[Heatmap]) -> Heatmap:
-    """Voxelwise arithmetic mean across models."""
+    """Voxelwise arithmetic mean across models, one channel at a time."""
     if not heatmaps:
         raise ValueError("ensemble of zero heatmaps")
     shape = heatmaps[0].data.shape
     for hm in heatmaps[1:]:
         if hm.data.shape != shape:
             raise ValueError("ensemble inputs must share shape")
-    acc = np.zeros(shape, dtype=np.float64)
-    for hm in heatmaps:
-        acc += hm.data
-    return Heatmap((acc / len(heatmaps)).astype(np.float32), heatmaps[0].spacing)
+    out = np.empty(shape, dtype=np.float32)
+    acc = np.empty(shape[1:], dtype=np.float64)
+    for c in range(shape[0]):
+        acc[...] = heatmaps[0].data[c]
+        for hm in heatmaps[1:]:
+            acc += hm.data[c]
+        np.divide(acc, len(heatmaps), out=out[c], casting="same_kind")
+    return Heatmap(out, heatmaps[0].spacing)
 
 
 def tiled_inference(
@@ -182,7 +244,5 @@ def tiled_inference(
     results = []
     for predictor in predictors:
         hm = aggregate(predictor, padded, plan, mask, workers=workers)
-        results.append(
-            Heatmap(hm.data[:, :, py0 : py0 + h, px0 : px0 + w].copy(), volume.spacing)
-        )
+        results.append(Heatmap(hm.data[:, :, py0 : py0 + h, px0 : px0 + w], volume.spacing))
     return ensemble(results)

@@ -50,7 +50,8 @@ def _check_grid(values: np.ndarray, spacing: float, ndim: int) -> np.ndarray:
         raise VolumeError(f"non-positive dims {values.shape}")
     if not np.isfinite(spacing) or spacing <= 0:
         raise VolumeError(f"spacing must be > 0, got {spacing}")
-    if not np.all(np.isfinite(values)):
+    # min and max carry any NaN or Inf without a per-voxel temporary.
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise NonFiniteValuesError("grid contains NaN or Inf")
     return values
 
@@ -138,7 +139,7 @@ def _read_grid(path, magic: bytes, ndim: int) -> tuple[np.ndarray, float]:
         if f.read(1) != b"":
             raise TruncatedFileError(f"{path}: trailing bytes after payload")
     values = np.frombuffer(raw, dtype="<f4").reshape(dims)
-    if not np.all(np.isfinite(values)):
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise NonFiniteValuesError(f"{path}: payload contains non-finite values")
     return values.astype(np.float32), float(np.float32(spacing))
 

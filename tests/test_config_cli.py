@@ -17,7 +17,7 @@ from tomopick.config import (
     sigma_for_radius,
 )
 from tomopick.coords import ParticleClassSpec
-from tomopick.volgrid import read_heatmap, read_volume
+from tomopick.volgrid import Volume3D, read_heatmap, read_volume, write_volume
 
 
 def test_sigma_rule_and_clamps():
@@ -66,6 +66,18 @@ def test_config_comments_and_blank_lines():
 def test_config_duplicate_key_rejected():
     with pytest.raises(ConfigError):
         parse_config("tiling.window = 64\ntiling.window = 32\n")
+
+
+def test_config_duplicate_class_field_rejected(tmp_path, capsys):
+    text = "".join(f"class.a.{fld} = 1.0\n" for fld in
+                   ("radius", "sigma_vox", "detect_threshold", "match_radius_tau", "metric_weight"))
+    text += "class.a.radius = 2.0\n"
+    with pytest.raises(ConfigError, match=r"line 6: duplicate key 'class.a.radius'"):
+        parse_config(text)
+    bad = tmp_path / "dup.cfg"
+    bad.write_text(text)
+    assert run_cli("plan", "--dims", "64", "64", "64", "--config", str(bad)) == 3
+    assert "line 6: duplicate key" in capsys.readouterr().err
 
 
 def test_config_offset_restricted():
@@ -271,3 +283,36 @@ def test_infer_shares_one_net_per_checkpoint_across_workers(tmp_path, monkeypatc
     finally:
         sys.setswitchinterval(interval)
     assert outs[1] == outs[2] == outs[4]
+
+
+def test_infer_rejects_uncovered_plan_before_any_forward(tmp_path, monkeypatch, capsys):
+    """z_stride 16 over 8-deep windows skips rows 8-15 of a 32-deep volume:
+    infer exits 4 before it runs a single forward."""
+    cfg = tmp_path / "sparse_z.cfg"
+    cfg.write_text(SMALL_CFG.replace("tiling.z_window = 16", "tiling.z_window = 8")
+                   .replace("tiling.z_stride = 8", "tiling.z_stride = 16"))
+    vol = tmp_path / "scene.vol"
+    write_volume(Volume3D(np.zeros((32, 48, 48), dtype=np.float32), 10.0), vol)
+    ckpt = str(tmp_path / "a.wts")
+    nets.save_weights(ckpt, nets.build_net(nets.NetConfig(variant="A", in_depth=8, window_hw=32,
+                                                          widths=(4, 4, 4, 4), decoder_width=4)))
+    forwards = []
+    load_net = nets.load_net
+
+    def counting_load_net(path, config):
+        net = load_net(path, config)
+        forward = net.forward
+
+        def counted(x, train=True):
+            forwards.append(x.shape)
+            return forward(x, train=train)
+
+        net.forward = counted
+        return net
+
+    monkeypatch.setattr(nets, "load_net", counting_load_net)
+    code = run_cli("infer", ckpt, "--config", str(cfg), "--variant", "A", "--widths", "4,4,4,4",
+                   "--decoder-width", "4", "--volume", str(vol), "--out", str(tmp_path / "hm.hmc"))
+    assert code == 4
+    assert "window plan leaves voxels uncovered" in capsys.readouterr().err
+    assert forwards == []

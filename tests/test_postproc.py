@@ -1,5 +1,7 @@
 """Local-maxima peak extraction and heatmap -> pick conversion."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,17 @@ def test_plateau_keeps_lexicographically_smallest():
     vol[4, 4, 5] = 0.7
     peaks = [p for p in local_maxima(vol, kernel=3) if p[1] > 0]
     assert peaks == [((4, 4, 4), pytest.approx(0.7))]
+
+
+def test_flat_plateau_gives_one_peak_quickly():
+    """A saturated 10x90x90 plateau: every voxel is a candidate, one survives."""
+    vol = np.zeros((16, 96, 96), dtype=np.float32)
+    vol[3:13, 3:93, 3:93] = 0.7
+    start = time.perf_counter()
+    peaks = local_maxima(vol, kernel=7, min_value=0.5)
+    elapsed = time.perf_counter() - start
+    assert peaks == [((3, 3, 3), pytest.approx(0.7))]
+    assert elapsed < 2.0, elapsed
 
 
 def test_even_or_nonpositive_kernel_rejected():

@@ -1,5 +1,7 @@
 """Window planning, blend masks, aggregation, and ensembling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,112 @@ def test_aggregate_uncovered_voxels_rejected():
     plan = WindowPlan.build(vol.dims, (4, 8, 8), (4, 4, 4), clamp_last=False)
     with pytest.raises(ValueError, match="uncovered"):
         aggregate(_const_predictor(0.5), vol, plan, blend_mask((4, 8, 8)))
+
+
+@pytest.mark.parametrize("window, strides", [
+    ((4, 8, 8), (8, 4, 4)),  # z_stride > z_window: rows 4-7 are skipped
+    ((4, 4, 4), (4, 8, 4)),  # y_stride > y_window
+    ((4, 4, 4), (4, 4, 6)),  # x_stride > x_window
+])
+def test_aggregate_uncovered_plan_makes_no_predictor_call(window, strides):
+    vol = Volume3D(np.zeros((16, 16, 16), dtype=np.float32))
+    plan = WindowPlan.build(vol.dims, window, strides)
+    calls = []
+
+    def predict(win):
+        calls.append(win.shape)
+        return np.zeros((1,) + win.shape)
+
+    with pytest.raises(ValueError, match="window plan leaves voxels uncovered"):
+        aggregate(predict, vol, plan, flat_mask(window))
+    assert calls == []
+
+
+def test_aggregate_rejects_z_origins_out_of_order():
+    vol = Volume3D(np.zeros((8, 4, 4), dtype=np.float32))
+    plan = WindowPlan((4, 4, 4), ((4, False), (0, False)), ((0, False),), ((0, False),))
+    with pytest.raises(ValueError, match="increasing order"):
+        aggregate(_const_predictor(0.5), vol, plan, flat_mask((4, 4, 4)))
+
+
+def _full_volume_aggregate(predictor, volume, plan, mask):
+    """Reference: one float64 numerator and denominator over the whole
+    volume, filled in plan order, then divided and cast to float32."""
+    wz, wy, wx = plan.window
+    m = mask.weights
+    num, den = None, np.zeros(volume.dims)
+    for z, y, x in plan.iter_origins():
+        pred = predictor(volume.values[z : z + wz, y : y + wy, x : x + wx])
+        if num is None:
+            num = np.zeros((pred.shape[0],) + volume.dims)
+        num[:, z : z + wz, y : y + wy, x : x + wx] += m[None] * pred
+        den[z : z + wz, y : y + wy, x : x + wx] += m
+    return (num / den[None]).astype(np.float32)
+
+
+@st.composite
+def _axis(draw, lo=1, hi=24):
+    """(length, window, stride) with stride <= window, so that equal strides
+    and clamped last origins both occur."""
+    length = draw(st.integers(lo, hi))
+    window = draw(st.integers(1, length))
+    stride = draw(st.one_of(st.just(window), st.integers(1, window)))
+    return length, window, stride
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axes=st.tuples(_axis(), _axis(hi=12), _axis(hi=12)),
+    channels=st.integers(1, 3),
+    blend=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_aggregate_streams_bit_identical_to_full_volume(axes, channels, blend, seed):
+    dims, window, strides = (tuple(a[i] for a in axes) for i in range(3))
+    vol = Volume3D(np.random.default_rng(seed).random(dims).astype(np.float32))
+    plan = WindowPlan.build(dims, window, strides)
+    mask = blend_mask(window) if blend else flat_mask(window)
+
+    def predict(win):
+        return np.stack([np.sin(win * (c + 1)) for c in range(channels)])
+
+    want = _full_volume_aggregate(predict, vol, plan, mask).tobytes()
+    for workers in (1, 2):
+        assert aggregate(predict, vol, plan, mask, workers=workers).data.tobytes() == want
+
+
+def _aggregate_peak(workers, c=4, d=64, hw=64, window=(8, 32, 32), strides=(4, 16, 16)):
+    """tracemalloc peak of one aggregate call and the output's size."""
+    vol = Volume3D(np.random.default_rng(3).random((d, hw, hw)).astype(np.float32))
+    plan = WindowPlan.build(vol.dims, window, strides)
+    mask = blend_mask(window)
+
+    def predict(win):
+        return np.stack([win * (k + 1) for k in range(c)])
+
+    tracemalloc.start()
+    try:
+        hm = aggregate(predict, vol, plan, mask, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, hm.data.nbytes
+
+
+def test_aggregate_peak_memory_is_a_slab_not_the_volume():
+    c, d, hw, wz, sz = 4, 64, 64, 8, 4
+    peak, out_bytes = _aggregate_peak(1, c, d, hw, (wz, 32, 32), (sz, 16, 16))
+    bound = out_bytes + 2 * c * (wz + sz) * hw * hw * 8
+    assert bound < c * d * hw * hw * 8  # the full float64 numerator alone
+    assert peak < bound, (peak, bound)
+
+
+def test_aggregate_workers_keep_few_windows_in_flight():
+    """A cheap predictor outruns the serial consumer; the predictions held
+    at once must not grow with the window count (135 here)."""
+    pred_bytes = 4 * 8 * 32 * 32 * 4
+    extra = _aggregate_peak(2)[0] - _aggregate_peak(1)[0]
+    assert extra < 16 * pred_bytes, extra
 
 
 def test_ensemble_idempotent_and_mean():
