@@ -207,6 +207,10 @@ def cmd_plan(args) -> int:
         txt = " ".join(f"{o}{'*' if clamped else ''}" for o, clamped in origins)
         print(f"{axis} origins: {txt}")
     print("(* = final window clamped to the volume edge)")
+    missed = [f"{axis} {a}-{b - 1}" for axis, origins, n, length in
+              zip("zyx", (oz, oy, ox), plan.window, (d, cfg.pad_to, cfg.pad_to))
+              for a, b in tiler.gaps(origins, n, length)]
+    print(f"gaps: {', '.join(missed) or 'none'}")
     return EXIT_OK
 
 

@@ -117,8 +117,10 @@ def rasterize_heatmap(
         if not (0 <= cz < d and 0 <= cy < h and 0 <= cx < w):
             skipped += 1
             continue
-        sigma = classes[rec.class_id].sigma_vox
-        _splat_gaussian_max(data[rec.class_id], (cz, cy, cx), sigma, truncation)
+        hit = gaussian_patch((cz, cy, cx), classes[rec.class_id].sigma_vox, truncation, dims)
+        if hit is not None:
+            region = data[rec.class_id][hit[0]]
+            np.maximum(region, hit[1], out=region)
     if skipped:
         log.warning("rasterize_heatmap: skipped %d out-of-volume pick(s)", skipped)
     return Heatmap(data.astype(np.float32), picks.spacing)
@@ -131,23 +133,20 @@ def _axis_window(c: float, reach: float, n: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _splat_gaussian_max(channel: np.ndarray, center, sigma: float, truncation: float) -> None:
-    d, h, w = channel.shape
-    cz, cy, cx = center
+def gaussian_patch(center, sigma: float, truncation: float, dims):
+    """exp(-||(j + 0.5) - center||^2 / (2 sigma^2)) on the voxels j of a dims
+    grid within truncation * sigma of the continuous (z, y, x) center, zero
+    beyond; returns (region slices, patch), or None if no voxel is in reach."""
     reach = truncation * sigma
-    z0, z1 = _axis_window(cz, reach, d)
-    y0, y1 = _axis_window(cy, reach, h)
-    x0, x1 = _axis_window(cx, reach, w)
-    if z0 > z1 or y0 > y1 or x0 > x1:
-        return
-    dz = (np.arange(z0, z1 + 1, dtype=np.float64) + 0.5 - cz) ** 2
-    dy = (np.arange(y0, y1 + 1, dtype=np.float64) + 0.5 - cy) ** 2
-    dx = (np.arange(x0, x1 + 1, dtype=np.float64) + 0.5 - cx) ** 2
+    bounds = [_axis_window(c, reach, n) for c, n in zip(center, dims)]
+    if any(lo > hi for lo, hi in bounds):
+        return None
+    dz, dy, dx = ((np.arange(lo, hi + 1, dtype=np.float64) + 0.5 - c) ** 2
+                  for (lo, hi), c in zip(bounds, center))
     dist2 = dz[:, None, None] + dy[None, :, None] + dx[None, None, :]
     patch = np.exp(-dist2 / (2.0 * sigma * sigma))
     patch[dist2 > reach * reach] = 0.0
-    region = channel[z0 : z1 + 1, y0 : y1 + 1, x0 : x1 + 1]
-    np.maximum(region, patch, out=region)
+    return tuple(slice(lo, hi + 1) for lo, hi in bounds), patch
 
 
 # --- picks text format -------------------------------------------------------

@@ -6,21 +6,7 @@ gradients verify cleanly against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    alpha: float = 0.1
-    epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
 
 
 def _as64(p, y):

@@ -7,6 +7,7 @@ prediction index, then ground-truth index); each endpoint matches at most once.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,10 +98,12 @@ def evaluate(
 ) -> Evaluation:
     per_class = []
     scores = []
+    points = [defaultdict(list), defaultdict(list)]  # preds, gts: class id -> [(x, y, z)]
+    for group, picks in zip(points, (preds, gts)):
+        for r in picks.records:
+            group[r.class_id].append((r.x, r.y, r.z))
     for class_id, cls in enumerate(classes):
-        p = [(r.x, r.y, r.z) for r in preds.for_class(class_id)]
-        g = [(r.x, r.y, r.z) for r in gts.for_class(class_id)]
-        m = match_class(p, g, cls.match_radius_tau)
+        m = match_class(points[0][class_id], points[1][class_id], cls.match_radius_tau)
         precision = m.tp / (m.tp + m.fp) if m.tp + m.fp else 1.0
         recall = m.tp / (m.tp + m.fn) if m.tp + m.fn else 1.0
         f = fbeta(m.tp, m.fp, m.fn, beta)

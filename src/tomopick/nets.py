@@ -96,19 +96,16 @@ class ToyNet:
         self._layers[name] = layer
         return layer
 
+    def _named(self, attr: str) -> dict[str, np.ndarray]:
+        """Every layer's `params` or `grads` entries as "<layer>.<name>"."""
+        return {f"{lname}.{k}": v for lname, layer in self._layers.items()
+                for k, v in getattr(layer, attr).items()}
+
     def named_params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for lname, layer in self._layers.items():
-            for pname, arr in layer.params.items():
-                out[f"{lname}.{pname}"] = arr
-        return out
+        return self._named("params")
 
     def named_grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for lname, layer in self._layers.items():
-            for pname, arr in layer.grads.items():
-                out[f"{lname}.{pname}"] = arr
-        return out
+        return self._named("grads")
 
     def zero_grads(self):
         for layer in self._layers.values():

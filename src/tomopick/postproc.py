@@ -31,9 +31,13 @@ def local_maxima(
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError("kernel must be odd and >= 1")
     channel = np.asarray(channel)
+    # A radius of dim - 1 already reaches the whole axis from every voxel, so
+    # clipping to it changes no neighborhood but bounds the filter and the
+    # tie offsets for any kernel.
+    r = [min(kernel // 2, n - 1) for n in channel.shape]
     # 'nearest' edge handling only duplicates in-bounds voxels, so the filter
     # max equals the clipped-neighborhood max.
-    neigh_max = maximum_filter(channel, size=kernel, mode="nearest")
+    neigh_max = maximum_filter(channel, size=[2 * k + 1 for k in r], mode="nearest")
     candidate = channel == neigh_max
     if min_value is not None:
         candidate &= channel >= min_value
@@ -43,11 +47,10 @@ def local_maxima(
     # that voxel is >= it. It is dropped when such a voxel precedes it in
     # (z, y, x) order: scan the preceding half of the neighborhood, padded
     # with -inf outside the bounds.
-    r = kernel // 2
-    padded = np.pad(channel.astype(np.result_type(channel, np.float32), copy=False), r,
-                    constant_values=-np.inf)
+    padded = np.pad(channel.astype(np.result_type(channel, np.float32), copy=False),
+                    [(k, k) for k in r], constant_values=-np.inf)
     strides = np.array(padded.strides) // padded.itemsize
-    offsets = np.array([o for o in itertools.product(range(-r, r + 1), repeat=3) if o < (0, 0, 0)],
+    offsets = np.array([o for o in itertools.product(*(range(-k, k + 1) for k in r)) if o < (0, 0, 0)],
                        dtype=np.intp).reshape(-1, 3) @ strides
     flat = padded.reshape(-1)
     centers = (cand + r) @ strides

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import DEFAULT_OFFSET, ParticleClassSpec, PickRecord, PickSet, phys_to_pixel
+from .coords import DEFAULT_OFFSET, ParticleClassSpec, PickRecord, PickSet, gaussian_patch, phys_to_pixel
 from .volgrid import DEFAULT_SPACING, Volume3D
 
 PLACEMENT_RETRIES = 1000
@@ -68,9 +68,11 @@ def generate_tomogram(spec: SceneSpec) -> tuple[Volume3D, PickSet]:
 
     grid = np.zeros(spec.dims, dtype=np.float64)
     for rec in placed:
-        cls = spec.classes[rec.class_id]
-        sigma_blob = cls.radius / (2.0 * spec.spacing)
-        _splat_blob_sum(grid, rec, sigma_blob, spec.spacing)
+        sigma_blob = spec.classes[rec.class_id].radius / (2.0 * spec.spacing)
+        center = tuple(phys_to_pixel(v, spec.spacing) for v in (rec.z, rec.y, rec.x))
+        hit = gaussian_patch(center, sigma_blob, 3.0, spec.dims)
+        if hit is not None:
+            grid[hit[0]] += hit[1]
     if spec.noise_sigma > 0:
         grid += rng.normal(0.0, spec.noise_sigma, size=spec.dims)
     return Volume3D(grid.astype(np.float32), spec.spacing), PickSet(tuple(placed), spec.spacing)
@@ -98,23 +100,3 @@ def _place_one(rng, spec: SceneSpec, class_id: int, margin: float, placed_xyz) -
         f"could not place a {spec.classes[class_id].name} particle "
         f"after {PLACEMENT_RETRIES} retries"
     )
-
-
-def _splat_blob_sum(grid: np.ndarray, rec: PickRecord, sigma: float, spacing: float) -> None:
-    d, h, w = grid.shape
-    cz = phys_to_pixel(rec.z, spacing)
-    cy = phys_to_pixel(rec.y, spacing)
-    cx = phys_to_pixel(rec.x, spacing)
-    reach = 3.0 * sigma
-    z0, z1 = max(0, math.ceil(cz - reach - 0.5)), min(d - 1, math.floor(cz + reach - 0.5))
-    y0, y1 = max(0, math.ceil(cy - reach - 0.5)), min(h - 1, math.floor(cy + reach - 0.5))
-    x0, x1 = max(0, math.ceil(cx - reach - 0.5)), min(w - 1, math.floor(cx + reach - 0.5))
-    if z0 > z1 or y0 > y1 or x0 > x1:
-        return
-    dz = (np.arange(z0, z1 + 1, dtype=np.float64) + 0.5 - cz) ** 2
-    dy = (np.arange(y0, y1 + 1, dtype=np.float64) + 0.5 - cy) ** 2
-    dx = (np.arange(x0, x1 + 1, dtype=np.float64) + 0.5 - cx) ** 2
-    dist2 = dz[:, None, None] + dy[None, :, None] + dx[None, None, :]
-    blob = np.exp(-dist2 / (2.0 * sigma * sigma))
-    blob[dist2 > reach * reach] = 0.0
-    grid[z0 : z1 + 1, y0 : y1 + 1, x0 : x1 + 1] += blob

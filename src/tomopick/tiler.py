@@ -8,8 +8,10 @@ Aggregation streams along z. The plan is z-major, so once the z origin moves
 past a row, no later window adds to it. The float64 numerator and denominator
 are therefore held only for a slab of rows, z_window plus the largest z gap
 deep: when the z origin moves on, the finished rows are divided straight into
-the float32 output and the slab slides down. Peak memory is the output plus
-O(C * (z_window + z_stride) * H * W), not O(C * D * H * W). The plan's
+the float32 output and the slab slides down. An ensemble's last model folds
+the other models' heatmaps in at each flush, writing the mean over the first.
+Peak memory for N >= 2 models is N - 1 float32 heatmaps plus a slab of
+O(C * (z_window + z_stride) * H * W), not O(N * C * D * H * W). The plan's
 coverage of the volume is checked before the first window runs.
 """
 
@@ -99,14 +101,14 @@ def flat_mask(window: tuple[int, int, int]) -> BlendMask:
     return BlendMask(np.ones(window, dtype=np.float64), 1.0)
 
 
-def _covers(origins, window: int, length: int) -> bool:
-    """Whether windows at these origins leave no gap in [0, length)."""
-    end = 0
+def gaps(origins, window: int, length: int) -> list[tuple[int, int]]:
+    """The half-open ranges of [0, length) that windows at these origins miss."""
+    found, end = [], 0
     for o in sorted(o for o, _ in origins):
         if o > end:
-            return False
+            found.append((end, o))
         end = max(end, o + window)
-    return end >= length
+    return found + [(end, length)] if end < length else found
 
 
 def aggregate(
@@ -115,11 +117,14 @@ def aggregate(
     plan: WindowPlan,
     mask: BlendMask,
     workers: int = 1,
+    *, members: Sequence[Heatmap] = (),
 ) -> Heatmap:
     """Blend-weighted mean of window predictions over the whole volume.
 
     Workers evaluate windows in parallel; accumulation happens serially in
-    plan order into float64 slab accumulators that stream along z.
+    plan order into float64 slab accumulators that stream along z. With
+    members (earlier models' heatmaps of this volume), the result is
+    `ensemble(members + [this model])` bit for bit, written over members[0].
     """
     wz, wy, wx = plan.window
     if mask.weights.shape != plan.window:
@@ -128,7 +133,7 @@ def aggregate(
     zs = [z for z, _ in plan.origins_z]
     if zs != sorted(zs):
         raise ValueError("window plan z origins are not in increasing order")
-    if not all(_covers(o, n, length) for o, n, length in
+    if any(gaps(o, n, length) for o, n, length in
                zip((plan.origins_z, plan.origins_y, plan.origins_x), plan.window, volume.dims)):
         raise ValueError("window plan leaves voxels uncovered")
     vol = volume.values
@@ -148,30 +153,46 @@ def aggregate(
     depth = min(d, wz + max((b - a for a, b in zip(zs, zs[1:])), default=0))
     den = np.zeros((depth, h, w), dtype=np.float64)
     m = mask.weights
-    num = prod = out = None
+    num = prod = out = quot = None
     base = 0
 
     def flush(rows):
         nonlocal base
         if den[:rows].min() <= 0.0:
             raise ValueError("window plan leaves voxels uncovered")
-        np.divide(num[:, :rows], den[:rows], out=out[:, base : base + rows], casting="same_kind")
-        # Slide in chunks of `rows` planes, which never overlap, so no
-        # temporary is made. The top `rows` planes keep their old values,
-        # which are still zero: no window has reached them, as the slab is
-        # z_window plus the largest z gap deep.
+        dst = out[:, base : base + rows]
+        if not members:
+            np.divide(num[:, :rows], den[:rows], out=dst, casting="same_kind")
+        # `ensemble`'s arithmetic with this model's float32 quotient last. The
+        # flushed numerator rows hold the sum: the slide below overwrites them.
+        for c, acc in enumerate(num[:, :rows] if members else ()):
+            np.divide(acc, den[:rows], out=quot[:rows], casting="same_kind")
+            acc[...] = dst[c]
+            for hm in members[1:]:
+                acc += hm.data[c, base : base + rows]
+            acc += quot[:rows]
+            np.divide(acc, len(members) + 1, out=dst[c], casting="same_kind")
+        # Slide in chunks of `rows` planes, which never overlap, one 3-d array
+        # at a time: numpy cannot prove that 4-d views of num do not overlap,
+        # and would copy each chunk. The top `rows` planes keep their old
+        # values, which are still zero: no window has reached them, as the
+        # slab is z_window plus the largest z gap deep.
         for i in range(0, depth - rows, rows):
             k = min(rows, depth - rows - i)
-            num[:, i : i + k] = num[:, i + rows : i + rows + k]
-            den[i : i + k] = den[i + rows : i + rows + k]
+            for part in (*num, den):
+                part[i : i + k] = part[i + rows : i + rows + k]
         base += rows
 
     def consume(origin, pred):
-        nonlocal num, prod, out
+        nonlocal num, prod, out, quot
         if num is None:
+            shape = (pred.shape[0], d, h, w)
+            if any(hm.data.shape != shape for hm in members):
+                raise ValueError("ensemble inputs must share shape")
             num = np.zeros((pred.shape[0], depth, h, w), dtype=np.float64)
             prod = np.empty(pred.shape[1:], dtype=np.float64)
-            out = np.empty((pred.shape[0], d, h, w), dtype=np.float32)
+            out = members[0].data if members else np.empty(shape, dtype=np.float32)
+            quot = np.empty((depth, h, w), dtype=np.float32) if members else None
         z, y, x = origin
         if z > base:
             flush(z - base)
@@ -201,7 +222,8 @@ def aggregate(
 
 
 def ensemble(heatmaps: Sequence[Heatmap]) -> Heatmap:
-    """Voxelwise arithmetic mean across models, one channel at a time."""
+    """Voxelwise arithmetic mean across models, one channel at a time: the
+    arithmetic that `aggregate` folds into its flushes when given members."""
     if not heatmaps:
         raise ValueError("ensemble of zero heatmaps")
     shape = heatmaps[0].data.shape
@@ -231,7 +253,7 @@ def tiled_inference(
     workers: int = 1,
 ) -> Heatmap:
     """Full-volume inference: reflect-pad XY to pad_to, slide windows, blend,
-    crop back, then average across models."""
+    average across models, then crop back."""
     d, h, w = volume.dims
     if pad_to < max(h, w):
         raise ValueError(f"pad_to {pad_to} smaller than volume XY {h}x{w}")
@@ -241,8 +263,6 @@ def tiled_inference(
     window = (z_window, window_hw, window_hw)
     plan = WindowPlan.build(padded.dims, window, (z_stride, xy_stride, xy_stride))
     mask = blend_mask(window, edge_floor) if use_blend else flat_mask(window)
-    results = []
-    for predictor in predictors:
-        hm = aggregate(predictor, padded, plan, mask, workers=workers)
-        results.append(Heatmap(hm.data[:, :, py0 : py0 + h, px0 : px0 + w], volume.spacing))
-    return ensemble(results)
+    members = [aggregate(p, padded, plan, mask, workers=workers) for p in predictors[:-1]]
+    hm = aggregate(predictors[-1], padded, plan, mask, workers=workers, members=members)
+    return Heatmap(hm.data[:, :, py0 : py0 + h, px0 : px0 + w], volume.spacing)

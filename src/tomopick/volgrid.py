@@ -8,6 +8,7 @@ All files are little-endian; payloads are 32-bit floats.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -135,13 +136,18 @@ def _read_grid(path, magic: bytes, ndim: int) -> tuple[np.ndarray, float]:
         (spacing,) = struct.unpack("<f", _read_exact(f, 4, "spacing"))
         if not np.isfinite(spacing) or spacing <= 0:
             raise NonFiniteValuesError(f"{path}: bad spacing {spacing}")
-        raw = _read_exact(f, 4 * math.prod(dims), "payload")
-        if f.read(1) != b"":
+        # Check the size before allocating: a header may claim more than the file holds.
+        left, nbytes = os.fstat(f.fileno()).st_size - f.tell(), 4 * math.prod(dims)
+        if left < nbytes:
+            raise TruncatedFileError("file truncated while reading payload")
+        if left > nbytes:
             raise TruncatedFileError(f"{path}: trailing bytes after payload")
-    values = np.frombuffer(raw, dtype="<f4").reshape(dims)
+        values = np.empty(dims, dtype="<f4")
+        if f.readinto(values) != nbytes:
+            raise TruncatedFileError("file truncated while reading payload")
     if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise NonFiniteValuesError(f"{path}: payload contains non-finite values")
-    return values.astype(np.float32), float(np.float32(spacing))
+    return values, float(np.float32(spacing))
 
 
 def _write_grid(path, magic: bytes, values: np.ndarray, spacing: float) -> None:
@@ -149,7 +155,7 @@ def _write_grid(path, magic: bytes, values: np.ndarray, spacing: float) -> None:
         f.write(magic)
         f.write(struct.pack(f"<{values.ndim}I", *values.shape))
         f.write(struct.pack("<f", np.float32(spacing)))
-        f.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(values, dtype="<f4"))
 
 
 def read_volume(path) -> Volume3D:

@@ -152,6 +152,40 @@ def test_missing_volume_exits_4(tmp_path):
     assert code == 4
 
 
+def _forged_header(path, magic, dims):
+    """A 100-byte file whose header claims a payload of many gigabytes."""
+    import struct
+
+    header = magic + struct.pack(f"<{len(dims)}I", *dims) + struct.pack("<f", 10.0)
+    path.write_bytes(header + bytes(100 - len(header)))
+    return str(path)
+
+
+def test_pick_forged_oversize_header_exits_4(tmp_path, capsys):
+    heatmap = _forged_header(tmp_path / "forged.hmc", b"HMC1", (6, 1024, 2048, 2048))
+    assert run_cli("pick", "--heatmap", heatmap, "--out", str(tmp_path / "p.picks")) == 4
+    assert "truncated while reading payload" in capsys.readouterr().err
+
+
+def test_infer_forged_oversize_volume_header_exits_4(tmp_path, capsys):
+    volume = _forged_header(tmp_path / "forged.vol", b"VOL1", (1024, 2048, 2048))
+    code = run_cli("infer", str(tmp_path / "none.wts"), "--volume", volume, "--out", str(tmp_path / "hm.hmc"))
+    assert code == 4
+    assert "truncated while reading payload" in capsys.readouterr().err
+
+
+def test_plan_names_uncovered_z_ranges(tmp_path, capsys):
+    cfg = tmp_path / "sparse_z.cfg"
+    cfg.write_text("tiling.z_window = 8\ntiling.z_stride = 16\n")
+    assert run_cli("plan", "--dims", "64", "64", "64", "--config", str(cfg)) == 0
+    assert "gaps: z 8-15, z 24-31, z 40-47\n" in capsys.readouterr().out
+
+
+def test_plan_without_gaps_says_none(capsys):
+    assert run_cli("plan", "--dims", "184", "630", "630") == 0
+    assert "gaps: none\n" in capsys.readouterr().out
+
+
 def test_bad_thread_env_exits_3(monkeypatch, capsys):
     monkeypatch.setenv("TOMOPICK_THREADS", "abc")
     assert run_cli("plan", "--dims", "64", "64", "64") == 3

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import fd_grad
-from tomopick.losses import LossConfig, loss_balanced_mse, loss_weighted_mse
+from tomopick.losses import loss_balanced_mse, loss_weighted_mse
 
 
 def test_weighted_perfect_prediction():
@@ -102,11 +102,3 @@ def test_weighted_grows_with_negative_count():
     loss_small, _ = loss_weighted_mse(p[:20], y[:20])
     loss_large, _ = loss_weighted_mse(p, y)
     assert loss_large < loss_small  # positives diluted by the negative sea
-
-
-def test_loss_config_validation():
-    LossConfig(alpha=0.0, epsilon=1e-9)
-    with pytest.raises(ValueError):
-        LossConfig(alpha=-0.1)
-    with pytest.raises(ValueError):
-        LossConfig(epsilon=0.0)

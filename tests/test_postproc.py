@@ -74,6 +74,20 @@ def test_flat_plateau_gives_one_peak_quickly():
     assert elapsed < 2.0, elapsed
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_beyond_the_channel_is_clipped(seed):
+    """A kernel far wider than the channel gives the peaks of the smallest
+    kernel that spans it, at the cost of that kernel."""
+    vol = np.round(np.random.default_rng(seed).random((5, 7, 9)) * 4).astype(np.float32) / 4
+    spanning = 2 * max(vol.shape) - 1
+    start = time.perf_counter()
+    peaks = local_maxima(vol, kernel=10001)
+    elapsed = time.perf_counter() - start
+    assert peaks == local_maxima(vol, kernel=spanning)
+    assert sorted(peaks) == sorted(brute_local_maxima(vol, spanning))
+    assert elapsed < 1.0, elapsed
+
+
 def test_even_or_nonpositive_kernel_rejected():
     vol = np.zeros((4, 4, 4), dtype=np.float32)
     for k in (0, 2, 4, -1):

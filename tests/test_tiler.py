@@ -17,7 +17,7 @@ from tomopick.tiler import (
     plan_axis,
     tiled_inference,
 )
-from tomopick.volgrid import Heatmap, Volume3D
+from tomopick.volgrid import Heatmap, Volume3D, pad_volume
 
 
 def origins(plan):
@@ -331,3 +331,83 @@ def test_tiled_inference_constant_predictor():
 def test_flat_mask_is_uniform():
     m = flat_mask((3, 4, 5))
     assert np.all(m.weights == 1.0)
+
+
+def _aggregate_each_then_ensemble(predictors, volume, pad_to, window, strides, mask, workers):
+    """Reference: each model's heatmap of the padded volume, cropped, then
+    averaged by `ensemble` in a separate pass."""
+    d, h, w = volume.dims
+    py0, px0 = (pad_to - h) // 2, (pad_to - w) // 2
+    padded = pad_volume(volume, (0, py0, px0), (0, pad_to - h - py0, pad_to - w - px0))
+    plan = WindowPlan.build(padded.dims, window, strides)
+    crops = [aggregate(p, padded, plan, mask, workers=workers).data for p in predictors]
+    return ensemble([Heatmap(c[:, :, py0 : py0 + h, px0 : px0 + w]) for c in crops]).data
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    models=st.integers(1, 3),
+    channels=st.integers(1, 3),
+    dims=st.tuples(st.integers(2, 12), st.integers(8, 14), st.integers(8, 14)),
+    extra=st.sampled_from([0, 0, 1, 4]),
+    blend=st.booleans(),
+    workers=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_tiled_inference_folds_ensemble_bit_identically(models, channels, dims, extra, blend, workers, data):
+    """The ensemble folded into the last model's flushes equals per-model
+    aggregation, crop and `ensemble`, byte for byte, padded XY or not."""
+    d, h, w = dims
+    pad_to = max(h, w) + extra
+    wz = data.draw(st.integers(1, d))
+    whw = data.draw(st.integers(2, min(h, w)))
+    sz, sxy = data.draw(st.integers(1, wz)), data.draw(st.integers(1, whw))
+    vol = Volume3D(np.random.default_rng(d * h * w).random(dims).astype(np.float32))
+
+    def member(k):
+        # Members alternate float64 and float32 predictions.
+        def predict(win):
+            return np.stack([np.sin(win * (c + 1) + k) for c in range(channels)]).astype(
+                np.float32 if k % 2 else np.float64)
+        return predict
+
+    predictors = [member(k) for k in range(models)]
+    window, strides = (wz, whw, whw), (sz, sxy, sxy)
+    mask = blend_mask(window) if blend else flat_mask(window)
+    want = _aggregate_each_then_ensemble(predictors, vol, pad_to, window, strides, mask, workers)
+    got = tiled_inference(predictors, vol, window_hw=whw, xy_stride=sxy, pad_to=pad_to, z_window=wz,
+                          z_stride=sz, use_blend=blend, workers=workers)
+    assert got.data.shape == want.shape
+    assert got.data.tobytes() == want.tobytes()
+
+
+def test_aggregate_rejects_members_of_another_shape():
+    vol = Volume3D(np.zeros((4, 4, 4), dtype=np.float32))
+    plan = WindowPlan.build(vol.dims, (4, 4, 4), (4, 4, 4))
+    other = Heatmap(np.zeros((3, 4, 4, 4), dtype=np.float32))
+    with pytest.raises(ValueError, match="share shape"):
+        aggregate(_const_predictor(0.5), vol, plan, flat_mask((4, 4, 4)), members=[other])
+
+
+def test_two_model_inference_peak_memory_is_one_output_and_a_slab():
+    """Two models hold the first model's heatmap and the last one's slab,
+    not two heatmaps plus an ensemble output."""
+    c, d, hw, wz, sz = 4, 64, 64, 8, 4
+    vol = Volume3D(np.random.default_rng(3).random((d, hw, hw)).astype(np.float32))
+
+    def predict(win):
+        return np.stack([win * (k + 1) for k in range(c)])
+
+    tracemalloc.start()
+    try:
+        hm = tiled_inference([predict, predict], vol, window_hw=32, xy_stride=16, pad_to=hw,
+                             z_window=wz, z_stride=sz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = hm.data.nbytes
+    # The slab bound of the single-model test, plus 1 MB for the padded input
+    # copy and small buffers.
+    bound = out_bytes + 2 * c * (wz + sz) * hw * hw * 8 + (1 << 20)
+    assert bound < 2 * out_bytes + 2 * c * (wz + sz) * hw * hw * 8
+    assert peak < bound, (peak, bound)

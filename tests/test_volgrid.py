@@ -183,3 +183,37 @@ def test_pad_then_crop_is_identity(dims, pads, mode, seed):
     padded = pad_volume(v, before, after, mode=mode)
     (z, y, x), (d, h, w) = before, dims
     assert Volume3D(padded.values[z : z + d, y : y + h, x : x + w]) == v
+
+
+def test_read_heatmap_peaks_at_one_payload(tmp_path):
+    """The payload is read straight into the returned array: no bytes object
+    and no converted copy beside it."""
+    import tracemalloc
+
+    hm = Heatmap(np.random.default_rng(5).random((3, 16, 128, 128)).astype(np.float32))
+    path = tmp_path / "h.hmc"
+    write_heatmap(hm, path)
+    tracemalloc.start()
+    try:
+        back = read_heatmap(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == hm
+    assert peak < hm.data.nbytes + (1 << 20), (peak, hm.data.nbytes)
+
+
+@pytest.mark.parametrize("magic, dims, reader", [
+    (b"HMC1", (6, 1024, 2048, 2048), read_heatmap),
+    (b"VOL1", (1024, 2048, 2048), read_volume),
+])
+def test_header_claiming_more_than_the_file_is_truncated(tmp_path, magic, dims, reader):
+    """A 100-byte file whose header claims gigabytes fails on its size,
+    before the payload is allocated."""
+    import struct
+
+    path = tmp_path / "forged"
+    header = magic + struct.pack(f"<{len(dims)}I", *dims) + struct.pack("<f", 10.0)
+    path.write_bytes(header + bytes(100 - len(header)))
+    with pytest.raises(TruncatedFileError, match="truncated while reading payload"):
+        reader(path)
