@@ -1,9 +1,10 @@
 """Building blocks for the toy 2.5D U-Nets: forward passes with cached
 activations and hand-derived backward passes.
 
-Tensors are (channels, depth, height, width) dense arrays. Layers carry their
-parameters and accumulated gradients in dicts so optimizers and checkpointing
-can address them by name. `forward(x)` (train=True) caches what the matching
+Tensors are (channels, depth, height, width) dense arrays. A layer keeps its
+parameters and gradients in dicts and registers its sub-layers by name, so
+optimizers and the WTS1 checkpoint name a parameter by its registry path
+(`fusion.branch0.weight`). `forward(x)` (train=True) caches what the matching
 backward needs, and every backward requires that cache. `forward(x,
 train=False)` is the inference mode: it returns the same values but writes no
 attribute on any layer, so it keeps no activations alive, a following backward
@@ -47,16 +48,37 @@ def _init_uniform(rng, shape, fan_in, dtype):
 
 
 class Layer:
-    """Base: parameter/grad dicts plus a one-slot forward cache, which only a
-    training forward (train=True) fills."""
+    """Base: parameter/grad dicts, the registry of named sub-layers, and a
+    one-slot forward cache, which only a training forward (train=True) fills."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self._layers: dict[str, Layer] = {}
         self._cache = None
+
+    def _register(self, name: str, layer: Layer) -> Layer:
+        self._layers[name] = layer
+        return layer
+
+    def _named(self, attr: str) -> dict[str, np.ndarray]:
+        """This layer's `params` or `grads` entries, then each sub-layer's as
+        "<sub-layer>.<name>", recursively."""
+        out = dict(getattr(self, attr))
+        for lname, layer in self._layers.items():
+            out.update((f"{lname}.{k}", v) for k, v in layer._named(attr).items())
+        return out
+
+    def named_params(self) -> dict[str, np.ndarray]:
+        return self._named("params")
+
+    def named_grads(self) -> dict[str, np.ndarray]:
+        return self._named("grads")
 
     def zero_grads(self):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        for layer in self._layers.values():
+            layer.zero_grads()
 
     def _take_cache(self):
         if self._cache is None:
@@ -355,23 +377,11 @@ class FusionBlock(Layer):
             raise ValueError("fusion needs at least 2 feature maps")
         self.in_channels = list(in_channels)
         cat = sum(in_channels)
-        self.branches = [Conv(cat, mid, (3, 3, 3), dilation=dl, rng=rng, dtype=dtype) for dl in self.DILATIONS]
-        self.acts = [SiLU() for _ in self.DILATIONS]
-        self.proj = Conv(mid * len(self.DILATIONS), out, (1, 1, 1), rng=rng, dtype=dtype)
-        self._collect_params()
-
-    def _sublayers(self):
-        return [(f"branch{i}", br) for i, br in enumerate(self.branches)] + [("proj", self.proj)]
-
-    def _collect_params(self):
-        self.params = {f"{n}.{k}": v for n, layer in self._sublayers() for k, v in layer.params.items()}
-        self.zero_grads()
-
-    def zero_grads(self):
-        self.grads = {}
-        for n, layer in self._sublayers():
-            layer.zero_grads()
-            self.grads.update((f"{n}.{k}", g) for k, g in layer.grads.items())
+        reg = self._register
+        self.branches = [reg(f"branch{i}", Conv(cat, mid, (3, 3, 3), dilation=dl, rng=rng, dtype=dtype))
+                         for i, dl in enumerate(self.DILATIONS)]
+        self.acts = [reg(f"act{i}", SiLU()) for i in range(len(self.DILATIONS))]
+        self.proj = reg("proj", Conv(mid * len(self.DILATIONS), out, (1, 1, 1), rng=rng, dtype=dtype))
 
     def forward(self, xs: list[np.ndarray], train=True):
         if len(xs) != len(self.in_channels):

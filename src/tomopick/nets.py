@@ -15,6 +15,8 @@ full scale; widths and depths are configuration, not a reconstruction.
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -85,31 +87,12 @@ def _unchain(g, *layers):
     return g
 
 
-class ToyNet:
-    """Common plumbing: named parameter access, grad reset, checkpoint state."""
+class ToyNet(L.Layer):
+    """The net's layers, registered by name; checkpoint state and input checks."""
 
     def __init__(self, config: NetConfig):
+        super().__init__()
         self.config = config
-        self._layers: dict[str, L.Layer] = {}
-
-    def _register(self, name: str, layer: L.Layer) -> L.Layer:
-        self._layers[name] = layer
-        return layer
-
-    def _named(self, attr: str) -> dict[str, np.ndarray]:
-        """Every layer's `params` or `grads` entries as "<layer>.<name>"."""
-        return {f"{lname}.{k}": v for lname, layer in self._layers.items()
-                for k, v in getattr(layer, attr).items()}
-
-    def named_params(self) -> dict[str, np.ndarray]:
-        return self._named("params")
-
-    def named_grads(self) -> dict[str, np.ndarray]:
-        return self._named("grads")
-
-    def zero_grads(self):
-        for layer in self._layers.values():
-            layer.zero_grads()
 
     def set_params(self, state: dict[str, np.ndarray]):
         params = self.named_params()
@@ -258,7 +241,8 @@ def save_weights(path, net: ToyNet) -> None:
 
 def load_weights(path, config: NetConfig) -> dict[str, np.ndarray]:
     def take(f, n, what):
-        buf = f.read(n)
+        # Check the size before reading: a block header may claim more than the file holds.
+        buf = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
         if len(buf) != n:
             raise CheckpointError(f"{path}: truncated while reading {what}")
         return buf
@@ -276,8 +260,7 @@ def load_weights(path, config: NetConfig) -> dict[str, np.ndarray]:
             name = take(f, nlen, "name").decode()
             (ndim,) = struct.unpack("<I", take(f, 4, "ndim"))
             shape = struct.unpack(f"<{ndim}I", take(f, 4 * ndim, "dims"))
-            n = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(take(f, 4 * n, "data"), dtype="<f4").reshape(shape)
+            data = np.frombuffer(take(f, 4 * math.prod(shape), "data"), dtype="<f4").reshape(shape)
             state[name] = data.astype(np.float32)
         if f.read(1) != b"":
             raise CheckpointError(f"{path}: trailing bytes")

@@ -129,10 +129,10 @@ def train(
     if not dataset:
         raise ValueError("dataset must be non-empty")
     loss_fn = LOSSES[cfg.loss]
-    params = net.named_params()
-    ema = {k: v.copy() for k, v in net.named_params().items()}
+    params = net.named_params()  # AdamW updates these arrays in place
+    ema = {k: v.copy() for k, v in params.items()}
     if cfg.epochs == 0:
-        return TrainResult({k: v.copy() for k, v in net.named_params().items()}, ema, [])
+        return TrainResult({k: v.copy() for k, v in params.items()}, ema, [])
     opt = AdamW(params, cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     history = []
@@ -156,7 +156,7 @@ def train(
                     f"loss diverged at epoch {epoch} step {start // cfg.batch_size}: {batch_loss}"
                 )
             opt.step(net.named_grads(), lr)
-            ema_update(ema, net.named_params(), cfg.ema_decay)
+            ema_update(ema, params, cfg.ema_decay)
             epoch_losses.append(batch_loss)
         history.append(float(np.mean(epoch_losses)))
-    return TrainResult({k: v.copy() for k, v in net.named_params().items()}, ema, history)
+    return TrainResult({k: v.copy() for k, v in params.items()}, ema, history)

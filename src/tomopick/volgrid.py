@@ -125,7 +125,8 @@ def _read_exact(f, n: int, what: str) -> bytes:
 
 def _read_grid(path, magic: bytes, ndim: int) -> tuple[np.ndarray, float]:
     """Read a VOL1 (3 dims) or HMC1 (4 dims) file: magic, little-endian u32
-    dims, f32 spacing and the f32 payload; returns (values, spacing)."""
+    dims, f32 spacing and the f32 payload; returns (values, spacing), which
+    the `Volume3D`/`Heatmap` constructor checks."""
     with open(path, "rb") as f:
         found = _read_exact(f, 4, "magic")
         if found != magic:
@@ -134,8 +135,6 @@ def _read_grid(path, magic: bytes, ndim: int) -> tuple[np.ndarray, float]:
         if min(dims) == 0 or math.prod(dims) > MAX_VOXELS:
             raise DimOverflowError(f"{path}: bad dims {dims}")
         (spacing,) = struct.unpack("<f", _read_exact(f, 4, "spacing"))
-        if not np.isfinite(spacing) or spacing <= 0:
-            raise NonFiniteValuesError(f"{path}: bad spacing {spacing}")
         # Check the size before allocating: a header may claim more than the file holds.
         left, nbytes = os.fstat(f.fileno()).st_size - f.tell(), 4 * math.prod(dims)
         if left < nbytes:
@@ -145,9 +144,7 @@ def _read_grid(path, magic: bytes, ndim: int) -> tuple[np.ndarray, float]:
         values = np.empty(dims, dtype="<f4")
         if f.readinto(values) != nbytes:
             raise TruncatedFileError("file truncated while reading payload")
-    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
-        raise NonFiniteValuesError(f"{path}: payload contains non-finite values")
-    return values, float(np.float32(spacing))
+    return values, spacing
 
 
 def _write_grid(path, magic: bytes, values: np.ndarray, spacing: float) -> None:

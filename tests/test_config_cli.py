@@ -174,6 +174,25 @@ def test_infer_forged_oversize_volume_header_exits_4(tmp_path, capsys):
     assert "truncated while reading payload" in capsys.readouterr().err
 
 
+def test_infer_forged_checkpoint_block_exits_4(tmp_path, small_cfg, capsys):
+    """A WTS1 file with the right magic and config hash whose first block
+    claims 65535^3 floats: infer exits 4 before it reads them."""
+    import struct
+
+    vol = tmp_path / "scene.vol"
+    write_volume(Volume3D(np.zeros((16, 32, 32), dtype=np.float32), 10.0), vol)
+    ckpt = tmp_path / "a.wts"
+    nets.save_weights(ckpt, nets.build_net(nets.NetConfig(variant="A", in_depth=16, window_hw=32,
+                                                          widths=(4, 4, 4))))
+    name = b"stem.weight"
+    block = struct.pack("<I", len(name)) + name + struct.pack("<5I", 4, 65535, 65535, 65535, 1)
+    ckpt.write_bytes(ckpt.read_bytes()[:16] + block + bytes(64))
+    code = run_cli("infer", str(ckpt), "--config", small_cfg, "--variant", "A", "--widths", "4,4,4",
+                   "--volume", str(vol), "--out", str(tmp_path / "hm.hmc"))
+    assert code == 4
+    assert "truncated while reading data" in capsys.readouterr().err
+
+
 def test_plan_names_uncovered_z_ranges(tmp_path, capsys):
     cfg = tmp_path / "sparse_z.cfg"
     cfg.write_text("tiling.z_window = 8\ntiling.z_stride = 16\n")

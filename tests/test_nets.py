@@ -57,11 +57,38 @@ def test_shape_sweep(make):
         assert y.shape == (cfg.class_count, in_depth, hw, hw)
 
 
-def every_layer(net):
-    for layer in net._layers.values():
-        yield layer
-        if isinstance(layer, L.FusionBlock):
-            yield from layer.branches + layer.acts + [layer.proj]
+def every_layer(layer):
+    """Every layer registered under `layer`, depth first."""
+    for sub in layer._layers.values():
+        yield sub
+        yield from every_layer(sub)
+
+
+def attribute_layers(layer):
+    """Every layer reachable from `layer`'s attributes other than its registry,
+    through lists and nested tuples, depth first."""
+    def walk(value):
+        if isinstance(value, L.Layer):
+            yield value
+            yield from attribute_layers(value)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from walk(item)
+
+    for name, value in vars(layer).items():
+        if name != "_layers":
+            yield from walk(value)
+
+
+@pytest.mark.parametrize("make", [tiny_a, lambda: tiny_a(strided_depth_pool=True), tiny_b],
+                         ids=["tiny_a", "strided_a", "tiny_b"])
+def test_layer_tree_is_complete(make):
+    """Each sub-layer a layer holds is registered, so its parameters reach
+    `named_params`, the gradient checks and the checkpoint."""
+    net = nets.build_net(make())
+    for layer in [net, *every_layer(net)]:
+        held = {id(sub) for sub in attribute_layers(layer)}
+        assert held == {id(sub) for sub in every_layer(layer)}, type(layer).__name__
 
 
 @pytest.mark.parametrize("make", [tiny_a, tiny_b])
