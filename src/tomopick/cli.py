@@ -35,9 +35,10 @@ def _default_workers() -> int:
 
 def _load_cfg(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    if getattr(args, "offset", None) is not None:
-        cfg = replace(cfg, offset=args.offset)
-    return cfg
+    # Flags stored under a config field's name override it through `replace`, which
+    # re-runs the config's checks: a bad override exits 3 like the same value in a file.
+    fields = ("offset", "window", "xy_stride", "edge_floor")
+    return replace(cfg, **{f: getattr(args, f) for f in fields if getattr(args, f, None) is not None})
 
 
 def _parse_counts(spec: str, cfg: PipelineConfig) -> tuple[int, ...]:
@@ -58,17 +59,17 @@ def _window_depth(variant: str, cfg: PipelineConfig) -> int:
     return cfg.z_window if variant == "A" else 2 * cfg.z_window
 
 
-def _net_config(args, cfg: PipelineConfig, window_hw: int | None = None) -> nets.NetConfig:
+def _net_config(args, cfg: PipelineConfig, seed: int = 0) -> nets.NetConfig:
     widths = tuple(int(w) for w in args.widths.split(","))
     return nets.NetConfig(
         variant=args.variant,
         in_depth=_window_depth(args.variant, cfg),
-        window_hw=window_hw if window_hw is not None else cfg.window,
+        window_hw=cfg.window,
         class_count=len(cfg.classes),
         widths=widths,
         decoder_width=args.decoder_width,
-        seed=args.seed,
-        strided_depth_pool=getattr(args, "strided_depth_pool", False),
+        seed=seed,
+        strided_depth_pool=args.strided_depth_pool,
     )
 
 
@@ -101,7 +102,7 @@ def cmd_rasterize(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    ncfg = _net_config(args, cfg, window_hw=args.window_hw)
+    ncfg = _net_config(args, cfg, seed=args.seed)
     data_dir = Path(args.data)
     vols = sorted(data_dir.glob("*.vol"))
     if not vols:
@@ -138,20 +139,21 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = _load_cfg(args)
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     volume = read_volume(args.volume)
     ncfg = _net_config(args, cfg)
     # Inference-mode forwards write nothing on the net, so the workers share one net per checkpoint.
     predictors = [functools.partial(nets.load_net(p, ncfg).forward, train=False) for p in args.checkpoints]
-    xy_stride = args.xy_stride if args.xy_stride else cfg.xy_stride
     hm = tiler.tiled_inference(
         predictors,
         volume,
         window_hw=cfg.window,
-        xy_stride=xy_stride,
+        xy_stride=cfg.xy_stride,
         pad_to=cfg.pad_to,
         z_window=ncfg.in_depth,
         z_stride=cfg.z_stride,
-        edge_floor=args.edge_floor if args.edge_floor is not None else cfg.edge_floor,
+        edge_floor=cfg.edge_floor,
         use_blend=not args.no_blend_weight,
         workers=args.workers,
     )
@@ -192,24 +194,17 @@ def cmd_eval(args) -> int:
 def cmd_plan(args) -> int:
     cfg = _load_cfg(args)
     d, h, w = args.dims
-    xy_stride = args.xy_stride if args.xy_stride else cfg.xy_stride
     z_window = _window_depth(args.variant, cfg)
-    plan = tiler.WindowPlan.build(
-        (d, cfg.pad_to, cfg.pad_to),
-        (z_window, cfg.window, cfg.window),
-        (cfg.z_stride, xy_stride, xy_stride),
-    )
+    plan = tiler.padded_plan(d, cfg.window, cfg.xy_stride, cfg.pad_to, z_window, cfg.z_stride)
     oz, oy, ox = plan.origins_z, plan.origins_y, plan.origins_x
     print(f"volume {d} x {h} x {w}, XY padded to {cfg.pad_to}")
-    print(f"XY windows: {len(oy)} x {len(ox)} (window {cfg.window}, stride {xy_stride})")
+    print(f"XY windows: {len(oy)} x {len(ox)} (window {cfg.window}, stride {cfg.xy_stride})")
     print(f"Z windows: {len(oz)} (window {z_window}, stride {cfg.z_stride})")
     for axis, origins in (("z", oz), ("y", oy), ("x", ox)):
         txt = " ".join(f"{o}{'*' if clamped else ''}" for o, clamped in origins)
         print(f"{axis} origins: {txt}")
     print("(* = final window clamped to the volume edge)")
-    missed = [f"{axis} {a}-{b - 1}" for axis, origins, n, length in
-              zip("zyx", (oz, oy, ox), plan.window, (d, cfg.pad_to, cfg.pad_to))
-              for a, b in tiler.gaps(origins, n, length)]
+    missed = [f"{axis} {a}-{b - 1}" for axis, a, b in plan.gaps((d, cfg.pad_to, cfg.pad_to))]
     print(f"gaps: {', '.join(missed) or 'none'}")
     return EXIT_OK
 
@@ -218,14 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tomopick", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, offset=False):
+    def common(p, seed=False, offset=False):
         p.add_argument("--config", help="pipeline config file")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         if offset:
             p.add_argument("--offset", type=float, choices=[1.0, 0.5], default=None)
 
     p = sub.add_parser("gen", help="generate a synthetic tomogram + ground-truth picks")
-    common(p, offset=True)
+    common(p, seed=True)
     p.add_argument("--dims", type=int, nargs=3, required=True, metavar=("D", "H", "W"))
     p.add_argument("--counts", required=True, help="name=N[,name=N...] particles per class")
     p.add_argument("--noise-sigma", type=float, default=0.05)
@@ -245,9 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--variant", choices=["A", "B"], default="A")
         p.add_argument("--widths", default="8,16,32,32")
         p.add_argument("--decoder-width", type=int, default=16)
+        p.add_argument("--strided-depth-pool", action="store_true",
+                       help="ablation: strided depth convs instead of pooling")
 
     p = sub.add_parser("train", help="train a toy net on a directory of scenes")
-    common(p, offset=True)
+    common(p, seed=True, offset=True)
     net_flags(p)
     p.add_argument("--data", required=True, help="dir of paired .vol/.picks scene files")
     p.add_argument("--epochs", type=int, default=25)
@@ -256,22 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-decay", type=float, default=0.0)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--loss", choices=sorted(LOSSES), default="weighted")
-    p.add_argument("--window-hw", type=int, default=32)
+    p.add_argument("--window-hw", dest="window", type=int, default=None, help="override tiling.window")
     p.add_argument("--use-ema", action="store_true", help="save EMA weights instead of raw")
-    p.add_argument("--strided-depth-pool", action="store_true",
-                   help="ablation: strided depth convs instead of pooling")
     p.add_argument("--out", required=True, help="output WTS1 checkpoint")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="tiled sliding-window inference")
-    common(p, offset=True)
+    common(p)
     net_flags(p)
     p.add_argument("--volume", required=True)
     p.add_argument("checkpoints", nargs="+", help="one or more WTS1 checkpoints to ensemble")
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=_default_workers())
-    p.add_argument("--xy-stride", type=int, default=0, help="override config stride")
-    p.add_argument("--edge-floor", type=float, default=None)
+    p.add_argument("--xy-stride", type=int, default=None, help="override tiling.xy_stride")
+    p.add_argument("--edge-floor", type=float, default=None, help="override blend.edge_floor")
     p.add_argument("--no-blend-weight", action="store_true")
     p.set_defaults(func=cmd_infer)
 
@@ -290,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="print the window plan for a volume")
     common(p)
     p.add_argument("--dims", type=int, nargs=3, required=True, metavar=("D", "H", "W"))
-    p.add_argument("--xy-stride", type=int, default=0)
+    p.add_argument("--xy-stride", type=int, default=None, help="override tiling.xy_stride")
     p.add_argument("--variant", choices=["A", "B"], default="A", help="net whose window depth to plan")
     p.set_defaults(func=cmd_plan)
 

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 from .coords import DEFAULT_OFFSET, ParticleClassSpec
+from .postproc import DEFAULT_NMS_KERNEL
+from .tiler import DEFAULT_EDGE_FLOOR
 from .volgrid import DEFAULT_SPACING
 
 
@@ -58,8 +60,8 @@ class PipelineConfig:
     pad_to: int = 656
     z_window: int = 16
     z_stride: int = 8
-    nms_kernel: int = 7
-    edge_floor: float = 0.01
+    nms_kernel: int = DEFAULT_NMS_KERNEL
+    edge_floor: float = DEFAULT_EDGE_FLOOR
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))

@@ -57,10 +57,7 @@ class WindowPlan:
 
     @classmethod
     def build(cls, dims, window, strides, clamp_last=True) -> "WindowPlan":
-        oz = tuple(plan_axis(dims[0], window[0], strides[0], clamp_last))
-        oy = tuple(plan_axis(dims[1], window[1], strides[1], clamp_last))
-        ox = tuple(plan_axis(dims[2], window[2], strides[2], clamp_last))
-        return cls(tuple(window), oz, oy, ox)
+        return cls(tuple(window), *(tuple(plan_axis(*axis, clamp_last)) for axis in zip(dims, window, strides)))
 
     def iter_origins(self):
         for (z, _), (y, _), (x, _) in itertools.product(
@@ -71,6 +68,25 @@ class WindowPlan:
     @property
     def count(self) -> int:
         return len(self.origins_z) * len(self.origins_y) * len(self.origins_x)
+
+    def gaps(self, dims) -> list[tuple[str, int, int]]:
+        """(axis, start, stop) for each half-open range of a dims volume that no window covers."""
+        found = []
+        for axis, origins, n, length in zip("zyx", (self.origins_z, self.origins_y, self.origins_x),
+                                            self.window, dims):
+            end = 0
+            for o in sorted(o for o, _ in origins):
+                if o > end:
+                    found.append((axis, end, o))
+                end = max(end, o + n)
+            found += [(axis, end, length)] if end < length else []
+        return found
+
+
+def padded_plan(depth, window_hw, xy_stride, pad_to, z_window, z_stride) -> WindowPlan:
+    """The plan `tiled_inference` runs over a volume `depth` deep, XY padded to pad_to."""
+    return WindowPlan.build((depth, pad_to, pad_to), (z_window, window_hw, window_hw),
+                            (z_stride, xy_stride, xy_stride))
 
 
 def _axis_tent(length: int, edge_floor: float) -> np.ndarray:
@@ -101,16 +117,6 @@ def flat_mask(window: tuple[int, int, int]) -> BlendMask:
     return BlendMask(np.ones(window, dtype=np.float64), 1.0)
 
 
-def gaps(origins, window: int, length: int) -> list[tuple[int, int]]:
-    """The half-open ranges of [0, length) that windows at these origins miss."""
-    found, end = [], 0
-    for o in sorted(o for o, _ in origins):
-        if o > end:
-            found.append((end, o))
-        end = max(end, o + window)
-    return found + [(end, length)] if end < length else found
-
-
 def aggregate(
     predictor: Predictor,
     volume: Volume3D,
@@ -133,8 +139,7 @@ def aggregate(
     zs = [z for z, _ in plan.origins_z]
     if zs != sorted(zs):
         raise ValueError("window plan z origins are not in increasing order")
-    if any(gaps(o, n, length) for o, n, length in
-               zip((plan.origins_z, plan.origins_y, plan.origins_x), plan.window, volume.dims)):
+    if plan.gaps(volume.dims):
         raise ValueError("window plan leaves voxels uncovered")
     vol = volume.values
     origins = list(plan.iter_origins())
@@ -243,11 +248,11 @@ def ensemble(heatmaps: Sequence[Heatmap]) -> Heatmap:
 def tiled_inference(
     predictors: Sequence[Predictor],
     volume: Volume3D,
-    window_hw: int = 128,
-    xy_stride: int = 48,
-    pad_to: int = 656,
-    z_window: int = 16,
-    z_stride: int = 8,
+    window_hw: int,
+    xy_stride: int,
+    pad_to: int,
+    z_window: int,
+    z_stride: int,
     edge_floor: float = DEFAULT_EDGE_FLOOR,
     use_blend: bool = True,
     workers: int = 1,
@@ -260,9 +265,8 @@ def tiled_inference(
     py0, py1 = (pad_to - h) // 2, pad_to - h - (pad_to - h) // 2
     px0, px1 = (pad_to - w) // 2, pad_to - w - (pad_to - w) // 2
     padded = pad_volume(volume, (0, py0, px0), (0, py1, px1), mode="reflect")
-    window = (z_window, window_hw, window_hw)
-    plan = WindowPlan.build(padded.dims, window, (z_stride, xy_stride, xy_stride))
-    mask = blend_mask(window, edge_floor) if use_blend else flat_mask(window)
+    plan = padded_plan(d, window_hw, xy_stride, pad_to, z_window, z_stride)
+    mask = blend_mask(plan.window, edge_floor) if use_blend else flat_mask(plan.window)
     members = [aggregate(p, padded, plan, mask, workers=workers) for p in predictors[:-1]]
     hm = aggregate(predictors[-1], padded, plan, mask, workers=workers, members=members)
     return Heatmap(hm.data[:, :, py0 : py0 + h, px0 : px0 + w], volume.spacing)

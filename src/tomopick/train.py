@@ -27,9 +27,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     batch_size: int = 8
     ema_decay: float = 0.999
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     loss: str = "weighted"
 
@@ -85,6 +82,8 @@ def ema_update(ema_params: dict, params: dict, decay: float) -> None:
 class AdamW:
     """Decoupled-weight-decay adaptive-moment optimizer over a param dict."""
 
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
     def __init__(self, params: dict[str, np.ndarray], cfg: TrainConfig):
         self.cfg = cfg
         self.params = params
@@ -93,20 +92,19 @@ class AdamW:
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        c = self.cfg
         self.t += 1
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
         for name, p in self.params.items():
             g = grads[name].astype(np.float64)
             m = self.m[name]
             v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + c.eps)
-            p -= (lr * (update + c.weight_decay * p.astype(np.float64))).astype(p.dtype)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+            p -= (lr * (update + self.cfg.weight_decay * p.astype(np.float64))).astype(p.dtype)
 
 
 @dataclass

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tomopick import nets
-from tomopick.cli import run
+from tomopick.cli import build_parser, run
 from tomopick.config import (
     ConfigError,
     PipelineConfig,
@@ -369,3 +369,63 @@ def test_infer_rejects_uncovered_plan_before_any_forward(tmp_path, monkeypatch, 
     assert code == 4
     assert "window plan leaves voxels uncovered" in capsys.readouterr().err
     assert forwards == []
+
+
+TINY_CFG = (SMALL_CFG.replace("tiling.window = 32", "tiling.window = 16")
+            .replace("tiling.xy_stride = 16", "tiling.xy_stride = 8")
+            .replace("tiling.pad_to = 64", "tiling.pad_to = 32")
+            .replace("tiling.z_window = 16", "tiling.z_window = 8"))
+
+
+def _train_then_infer(tmp_path, *net_flags):
+    """gen one scene, train a tiny variant-A net on it without --window-hw,
+    then infer that scene with the same net flags; returns infer's exit code
+    and output path."""
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CFG)
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    vol = scenes / "s.vol"
+    assert run_cli("gen", "--config", str(cfg), "--seed", "4", "--dims", "16", "32", "32",
+                   "--counts", "blob=2", "--out-volume", str(vol), "--out-picks", str(scenes / "s.picks")) == 0
+    flags = ("--variant", "A", "--widths", "4,4,4", "--decoder-width", "4", *net_flags)
+    ckpt = str(tmp_path / "m.wts")
+    assert run_cli("train", "--config", str(cfg), "--data", str(scenes), "--out", ckpt, *flags,
+                   "--epochs", "1", "--warmup-epochs", "0", "--batch-size", "2") == 0
+    out = tmp_path / "hm.hmc"
+    return run_cli("infer", ckpt, "--config", str(cfg), *flags, "--volume", str(vol), "--out", str(out)), out
+
+
+def test_default_train_then_infer_share_the_config_window(tmp_path):
+    """train builds its net at tiling.window (16 here), as infer does."""
+    code, out = _train_then_infer(tmp_path)
+    assert code == 0
+    assert read_heatmap(out).data.shape == (1, 16, 32, 32)
+
+
+def test_strided_depth_pool_checkpoint_can_be_inferred(tmp_path):
+    code, out = _train_then_infer(tmp_path, "--strided-depth-pool")
+    assert code == 0
+    assert read_heatmap(out).data.shape == (1, 16, 32, 32)
+
+
+@pytest.mark.parametrize("argv", [
+    *[("plan", "--dims", "64", "64", "64", *bad) for bad in (("--xy-stride", "0"), ("--xy-stride", "-1"))],
+    *[("infer", "none.wts", "--volume", "none.vol", "--out", "none.hmc", *bad) for bad in (
+        ("--xy-stride", "0"), ("--xy-stride", "-1"), ("--edge-floor", "0"), ("--edge-floor", "1"),
+        ("--workers", "0"))],
+    ("train", "--data", "none", "--out", "none.wts", "--window-hw", "1024"),
+], ids=lambda argv: " ".join((argv[0], *argv[-2:])))
+def test_bad_cli_override_exits_3(argv, capsys):
+    """A flag that overrides a config field is checked like the same value in a
+    config file, before any input is read."""
+    assert run_cli(*argv) == 3
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_flags_exist_only_where_they_act():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    having = {flag: sorted(name for name, p in commands.items() if flag in p._option_string_actions)
+              for flag in ("--seed", "--offset", "--strided-depth-pool", "--window-hw")}
+    assert having == {"--seed": ["gen", "train"], "--offset": ["pick", "rasterize", "train"],
+                      "--strided-depth-pool": ["infer", "train"], "--window-hw": ["train"]}
