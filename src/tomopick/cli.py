@@ -60,17 +60,25 @@ def _window_depth(variant: str, cfg: PipelineConfig) -> int:
 
 
 def _net_config(args, cfg: PipelineConfig, seed: int = 0) -> nets.NetConfig:
-    widths = tuple(int(w) for w in args.widths.split(","))
-    return nets.NetConfig(
-        variant=args.variant,
-        in_depth=_window_depth(args.variant, cfg),
-        window_hw=cfg.window,
-        class_count=len(cfg.classes),
-        widths=widths,
-        decoder_width=args.decoder_width,
-        seed=seed,
-        strided_depth_pool=args.strided_depth_pool,
-    )
+    """The net that the config and net flags describe; exit 3 if none can be built."""
+    try:
+        return nets.NetConfig(
+            variant=args.variant,
+            in_depth=_window_depth(args.variant, cfg),
+            window_hw=cfg.window,
+            class_count=len(cfg.classes),
+            widths=args.widths,
+            decoder_width=args.decoder_width,
+            seed=seed,
+            strided_depth_pool=args.strided_depth_pool,
+        )
+    except ValueError as e:
+        raise ConfigError(f"no net can be built: {e}") from e
+
+
+def stage_widths(text: str) -> tuple[int, ...]:
+    """--widths: comma-separated integers; argparse reports a bad value as a usage error."""
+    return tuple(int(w) for w in text.split(","))
 
 
 def cmd_gen(args) -> int:
@@ -141,8 +149,8 @@ def cmd_infer(args) -> int:
     cfg = _load_cfg(args)
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    volume = read_volume(args.volume)
     ncfg = _net_config(args, cfg)
+    volume = read_volume(args.volume)
     # Inference-mode forwards write nothing on the net, so the workers share one net per checkpoint.
     predictors = [functools.partial(nets.load_net(p, ncfg).forward, train=False) for p in args.checkpoints]
     hm = tiler.tiled_inference(
@@ -153,8 +161,7 @@ def cmd_infer(args) -> int:
         pad_to=cfg.pad_to,
         z_window=ncfg.in_depth,
         z_stride=cfg.z_stride,
-        edge_floor=cfg.edge_floor,
-        use_blend=not args.no_blend_weight,
+        edge_floor=1.0 if args.no_blend_weight else cfg.edge_floor,
         workers=args.workers,
     )
     write_heatmap(hm, args.out)
@@ -239,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def net_flags(p):
         p.add_argument("--variant", choices=["A", "B"], default="A")
-        p.add_argument("--widths", default="8,16,32,32")
+        p.add_argument("--widths", type=stage_widths, default="8,16,32,32")
         p.add_argument("--decoder-width", type=int, default=16)
         p.add_argument("--strided-depth-pool", action="store_true",
                        help="ablation: strided depth convs instead of pooling")
@@ -268,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--xy-stride", type=int, default=None, help="override tiling.xy_stride")
     p.add_argument("--edge-floor", type=float, default=None, help="override blend.edge_floor")
-    p.add_argument("--no-blend-weight", action="store_true")
+    p.add_argument("--no-blend-weight", action="store_true", help="uniform weights: blend edge floor 1")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("pick", help="extract picks from a heatmap")

@@ -153,5 +153,8 @@ def parse_config(text: str) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    with open(path) as f:
-        return parse_config(f.read())
+    with open(path, "rb") as f:
+        try:
+            return parse_config(f.read().decode())
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: {e}") from e

@@ -33,16 +33,14 @@ class ParticleClassSpec:
     metric_weight: float = 1.0
 
     def __post_init__(self):
-        if self.sigma_vox <= 0:
-            raise ValueError(f"{self.name}: sigma_vox must be > 0")
-        if self.match_radius_tau <= 0:
-            raise ValueError(f"{self.name}: match_radius_tau must be > 0")
+        # NaN fails every comparison, so these bounds reject it too.
+        for fld in ("radius", "sigma_vox", "match_radius_tau"):
+            if not 0 < getattr(self, fld) < math.inf:
+                raise ValueError(f"{self.name}: {fld} must be finite and > 0")
         if not 0.0 < self.detect_threshold < 1.0:
             raise ValueError(f"{self.name}: detect_threshold must be in (0, 1)")
-        if self.radius <= 0:
-            raise ValueError(f"{self.name}: radius must be > 0")
-        if self.metric_weight < 0:
-            raise ValueError(f"{self.name}: metric_weight must be >= 0")
+        if not 0 <= self.metric_weight < math.inf:
+            raise ValueError(f"{self.name}: metric_weight must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -70,9 +68,6 @@ class PickSet:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def for_class(self, class_id: int) -> list[PickRecord]:
-        return [r for r in self.records if r.class_id == class_id]
 
 
 def phys_to_pixel(x_phys: float, spacing: float, offset: float = DEFAULT_OFFSET) -> float:

@@ -53,6 +53,8 @@ class NetConfig:
             raise ValueError("in_depth must be divisible by 4")
         if self.window_hw % 8 != 0:
             raise ValueError("window_hw must be divisible by 8")
+        if self.strided_depth_pool and self.variant != "A":
+            raise ValueError("strided_depth_pool applies to variant A only")
 
     @property
     def np_dtype(self):

@@ -32,18 +32,18 @@ DEFAULT_EDGE_FLOOR = 0.01
 Predictor = Callable[[np.ndarray], np.ndarray]  # (d, h, w) window -> (C, d, h, w)
 
 
-def plan_axis(length: int, window: int, stride: int, clamp_last: bool = True) -> list[tuple[int, bool]]:
+def plan_axis(length: int, window: int, stride: int) -> list[tuple[int, bool]]:
     """Window origins 0, stride, ... plus a clamped final origin if needed.
 
-    Returns (origin, clamped) pairs; the union of [origin, origin + window)
-    covers [0, length) exactly when clamp_last is set.
+    Returns (origin, clamped) pairs; with stride <= window, the union of
+    [origin, origin + window) covers [0, length).
     """
     if window > length:
         raise ValueError(f"window {window} exceeds axis length {length}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     origins = [(o, False) for o in range(0, length - window + 1, stride)]
-    if clamp_last and origins[-1][0] != length - window:
+    if origins[-1][0] != length - window:
         origins.append((length - window, True))
     return origins
 
@@ -56,18 +56,14 @@ class WindowPlan:
     origins_x: tuple[tuple[int, bool], ...]
 
     @classmethod
-    def build(cls, dims, window, strides, clamp_last=True) -> "WindowPlan":
-        return cls(tuple(window), *(tuple(plan_axis(*axis, clamp_last)) for axis in zip(dims, window, strides)))
+    def build(cls, dims, window, strides) -> "WindowPlan":
+        return cls(tuple(window), *(tuple(plan_axis(*axis)) for axis in zip(dims, window, strides)))
 
     def iter_origins(self):
         for (z, _), (y, _), (x, _) in itertools.product(
             self.origins_z, self.origins_y, self.origins_x
         ):
             yield z, y, x
-
-    @property
-    def count(self) -> int:
-        return len(self.origins_z) * len(self.origins_y) * len(self.origins_x)
 
     def gaps(self, dims) -> list[tuple[str, int, int]]:
         """(axis, start, stop) for each half-open range of a dims volume that no window covers."""
@@ -95,33 +91,20 @@ def _axis_tent(length: int, edge_floor: float) -> np.ndarray:
     return edge_floor + (1.0 - edge_floor) * tent
 
 
-@dataclass(frozen=True)
-class BlendMask:
-    """Separable tent weights, ~1 at the window center, edge_floor at edges."""
-
-    weights: np.ndarray
-    edge_floor: float
-
-
-def blend_mask(window: tuple[int, int, int], edge_floor: float = DEFAULT_EDGE_FLOOR) -> BlendMask:
-    if not 0.0 < edge_floor < 1.0:
-        raise ValueError("edge_floor must be in (0, 1)")
-    tz = _axis_tent(window[0], edge_floor)
-    ty = _axis_tent(window[1], edge_floor)
-    tx = _axis_tent(window[2], edge_floor)
-    return BlendMask(tz[:, None, None] * ty[None, :, None] * tx[None, None, :], edge_floor)
-
-
-def flat_mask(window: tuple[int, int, int]) -> BlendMask:
-    """Uniform weights: the no-blend-weight ablation."""
-    return BlendMask(np.ones(window, dtype=np.float64), 1.0)
+def blend_mask(window: tuple[int, int, int], edge_floor: float = DEFAULT_EDGE_FLOOR) -> np.ndarray:
+    """Separable tent weights, ~1 at the window center and edge_floor at the
+    edges; edge_floor 1 gives uniform weights (the no-blend-weight ablation)."""
+    if not 0.0 < edge_floor <= 1.0:
+        raise ValueError("edge_floor must be in (0, 1]")
+    tz, ty, tx = (_axis_tent(n, edge_floor) for n in window)
+    return tz[:, None, None] * ty[None, :, None] * tx[None, None, :]
 
 
 def aggregate(
     predictor: Predictor,
     volume: Volume3D,
     plan: WindowPlan,
-    mask: BlendMask,
+    mask: np.ndarray,
     workers: int = 1,
     *, members: Sequence[Heatmap] = (),
 ) -> Heatmap:
@@ -133,7 +116,7 @@ def aggregate(
     `ensemble(members + [this model])` bit for bit, written over members[0].
     """
     wz, wy, wx = plan.window
-    if mask.weights.shape != plan.window:
+    if mask.shape != plan.window:
         raise ValueError("mask shape does not match plan window")
     d, h, w = volume.dims
     zs = [z for z, _ in plan.origins_z]
@@ -157,7 +140,6 @@ def aggregate(
     # The slab holds rows [base, base + depth) of the volume.
     depth = min(d, wz + max((b - a for a, b in zip(zs, zs[1:])), default=0))
     den = np.zeros((depth, h, w), dtype=np.float64)
-    m = mask.weights
     num = prod = out = quot = None
     base = 0
 
@@ -203,9 +185,9 @@ def aggregate(
             flush(z - base)
         zb = z - base
         for c in range(pred.shape[0]):
-            np.multiply(m, pred[c], out=prod)
+            np.multiply(mask, pred[c], out=prod)
             num[c, zb : zb + wz, y : y + wy, x : x + wx] += prod
-        den[zb : zb + wz, y : y + wy, x : x + wx] += m
+        den[zb : zb + wz, y : y + wy, x : x + wx] += mask
 
     if workers <= 1:
         for origin in origins:
@@ -254,7 +236,6 @@ def tiled_inference(
     z_window: int,
     z_stride: int,
     edge_floor: float = DEFAULT_EDGE_FLOOR,
-    use_blend: bool = True,
     workers: int = 1,
 ) -> Heatmap:
     """Full-volume inference: reflect-pad XY to pad_to, slide windows, blend,
@@ -264,9 +245,9 @@ def tiled_inference(
         raise ValueError(f"pad_to {pad_to} smaller than volume XY {h}x{w}")
     py0, py1 = (pad_to - h) // 2, pad_to - h - (pad_to - h) // 2
     px0, px1 = (pad_to - w) // 2, pad_to - w - (pad_to - w) // 2
-    padded = pad_volume(volume, (0, py0, px0), (0, py1, px1), mode="reflect")
+    padded = pad_volume(volume, (0, py0, px0), (0, py1, px1))
     plan = padded_plan(d, window_hw, xy_stride, pad_to, z_window, z_stride)
-    mask = blend_mask(plan.window, edge_floor) if use_blend else flat_mask(plan.window)
+    mask = blend_mask(plan.window, edge_floor)
     members = [aggregate(p, padded, plan, mask, workers=workers) for p in predictors[:-1]]
     hm = aggregate(predictors[-1], padded, plan, mask, workers=workers, members=members)
     return Heatmap(hm.data[:, :, py0 : py0 + h, px0 : px0 + w], volume.spacing)

@@ -1,4 +1,4 @@
-"""Dense 3D/4D grids, the VOL1/HMC1 binary formats, and padding primitives.
+"""Dense 3D/4D grids, the VOL1/HMC1 binary formats, and reflect padding.
 
 Volumes are stored z-major: the value at (z, y, x) lives at flat offset
 (z*H + y)*W + x, which is exactly numpy C-order for a (D, H, W) array.
@@ -174,25 +174,12 @@ def write_heatmap(hm: Heatmap, path) -> None:
     _write_grid(path, HEATMAP_MAGIC, hm.data, hm.spacing)
 
 
-def pad_volume(
-    vol: Volume3D,
-    pad_before: tuple[int, int, int],
-    pad_after: tuple[int, int, int],
-    mode: str = "reflect",
-) -> Volume3D:
-    """Pad per axis (z, y, x). Reflect mode mirrors without repeating the edge."""
+def pad_volume(vol: Volume3D, pad_before: tuple[int, int, int], pad_after: tuple[int, int, int]) -> Volume3D:
+    """Reflect-pad per axis (z, y, x), mirroring without repeating the edge."""
     if any(p < 0 for p in pad_before + pad_after):
         raise ValueError("pads must be >= 0")
     pads = tuple(zip(pad_before, pad_after))
-    if mode == "reflect":
-        for ax, (pb, pa) in enumerate(pads):
-            if max(pb, pa) >= vol.dims[ax]:
-                raise ValueError(
-                    f"reflect pad {max(pb, pa)} too large for axis of length {vol.dims[ax]}"
-                )
-        values = np.pad(vol.values, pads, mode="reflect")
-    elif mode == "zero":
-        values = np.pad(vol.values, pads, mode="constant", constant_values=0.0)
-    else:
-        raise ValueError(f"unknown pad mode {mode!r}")
-    return Volume3D(values, vol.spacing)
+    for n, (pb, pa) in zip(vol.dims, pads):
+        if max(pb, pa) >= n:
+            raise ValueError(f"reflect pad {max(pb, pa)} too large for axis of length {n}")
+    return Volume3D(np.pad(vol.values, pads, mode="reflect"), vol.spacing)

@@ -118,6 +118,13 @@ def test_bad_config_file_exits_3(tmp_path, capsys):
     assert run_cli("plan", "--dims", "64", "64", "64", "--config", str(bad)) == 3
 
 
+def _class_block(**values):
+    """Config lines for a complete class `a`, with some fields replaced."""
+    fields = dict(radius="40.0", sigma_vox="2.0", detect_threshold="0.5", match_radius_tau="80.0",
+                  metric_weight="1.0") | values
+    return "\n".join(f"class.a.{fld} = {value}" for fld, value in fields.items())
+
+
 @pytest.mark.parametrize("line", [
     "tiling.window = 0",
     "tiling.xy_stride = 0",
@@ -129,10 +136,20 @@ def test_bad_config_file_exits_3(tmp_path, capsys):
     "pipeline.spacing = 0.0",
     "pipeline.spacing = nan",
     "pipeline.spacing = inf",
+    *[pytest.param(_class_block(**{fld: value}), id=f"class.a.{fld} = {value}") for fld, value in (
+        ("radius", "nan"), ("radius", "inf"), ("sigma_vox", "inf"), ("match_radius_tau", "nan"),
+        ("match_radius_tau", "inf"), ("metric_weight", "inf"), ("metric_weight", "nan"))],
 ])
 def test_out_of_range_config_value_exits_3(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
+    assert run_cli("plan", "--dims", "64", "64", "64", "--config", str(bad)) == 3
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_exits_3(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes("# caf\xe9\ntiling.window = 64\n".encode("latin-1"))
     assert run_cli("plan", "--dims", "64", "64", "64", "--config", str(bad)) == 3
     assert "config error:" in capsys.readouterr().err
 
@@ -415,12 +432,45 @@ def test_strided_depth_pool_checkpoint_can_be_inferred(tmp_path):
         ("--xy-stride", "0"), ("--xy-stride", "-1"), ("--edge-floor", "0"), ("--edge-floor", "1"),
         ("--workers", "0"))],
     ("train", "--data", "none", "--out", "none.wts", "--window-hw", "1024"),
+    ("train", "--data", "none", "--out", "none.wts", "--window-hw", "20"),  # no net: 20 % 8 != 0
 ], ids=lambda argv: " ".join((argv[0], *argv[-2:])))
 def test_bad_cli_override_exits_3(argv, capsys):
     """A flag that overrides a config field is checked like the same value in a
     config file, before any input is read."""
     assert run_cli(*argv) == 3
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, flags", [
+    # The nets' pixel shuffles need a multiple of 8.
+    pytest.param("tiling.window = 20", (), id="window 20"),
+    # Variant A halves the depth twice.
+    pytest.param("tiling.z_window = 6", ("--variant", "A"), id="A z_window 6"),
+    # Variant B has no depth-halving layer for the flag to replace.
+    pytest.param("", ("--variant", "B", "--strided-depth-pool"), id="B strided-depth-pool"),
+])
+@pytest.mark.parametrize("command", [
+    ("train", "--data", "none", "--out", "none.wts"),
+    ("infer", "none.wts", "--volume", "none.vol", "--out", "none.hmc"),
+], ids=lambda argv: argv[0])
+def test_no_net_for_the_config_and_flags_exits_3(tmp_path, capsys, line, flags, command):
+    """Config values and net flags that no net can be built at are config
+    errors, found before any input is read."""
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text(line + "\n")
+    assert run_cli(*command, "--config", str(cfg), *flags) == 3
+    assert "config error: no net can be built" in capsys.readouterr().err
+    assert run_cli("plan", "--dims", "64", "64", "64", "--config", str(cfg)) == 0  # plan builds no net
+
+
+@pytest.mark.parametrize("command", [
+    ("train", "--data", "none", "--out", "none.wts"),
+    ("infer", "none.wts", "--volume", "none.vol", "--out", "none.hmc"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("widths", ["4,x", "", "4,,4", "4.0,8,8"])
+def test_widths_that_are_not_integers_exit_2(capsys, command, widths):
+    assert run_cli(*command, "--widths", widths) == 2
+    assert "argument --widths: invalid stage_widths value" in capsys.readouterr().err
 
 
 def test_flags_exist_only_where_they_act():

@@ -53,8 +53,8 @@ def test_count_bookkeeping():
     spec = SceneSpec((32, 32, 32), two_classes(), (3, 2), seed=9, min_separation=30.0)
     _, picks = generate_tomogram(spec)
     assert len(picks) == 5
-    assert len(picks.for_class(0)) == 3
-    assert len(picks.for_class(1)) == 2
+    assert [r.class_id for r in picks.records].count(0) == 3
+    assert [r.class_id for r in picks.records].count(1) == 2
 
 
 def test_min_separation_pairwise():

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tomopick.tiler import (
-    BlendMask,
+    DEFAULT_EDGE_FLOOR,
     WindowPlan,
     aggregate,
     blend_mask,
     ensemble,
-    flat_mask,
     plan_axis,
     tiled_inference,
 )
@@ -85,18 +84,18 @@ def test_blend_mask_center_and_edge_values():
     mask = blend_mask((L, L, L), ef)
     tent_center = ef + (1 - ef) * (1 - 1 / L)
     tent_edge = ef + (1 - ef) * (1 / L)
-    center = mask.weights[L // 2 - 1, L // 2 - 1, L // 2 - 1]
+    center = mask[L // 2 - 1, L // 2 - 1, L // 2 - 1]
     assert center == pytest.approx(tent_center**3, rel=1e-12)
-    assert mask.weights[0, L // 2 - 1, L // 2 - 1] == pytest.approx(
+    assert mask[0, L // 2 - 1, L // 2 - 1] == pytest.approx(
         tent_edge * tent_center**2, rel=1e-12
     )
-    assert mask.weights.min() > 0.0
+    assert mask.min() > 0.0
 
 
 @settings(max_examples=30, deadline=None)
 @given(dims=st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(2, 9)))
 def test_blend_mask_reflection_symmetric(dims):
-    m = blend_mask(dims, 0.05).weights
+    m = blend_mask(dims, 0.05)
     np.testing.assert_allclose(m, m[::-1], atol=1e-15)
     np.testing.assert_allclose(m, m[:, ::-1], atol=1e-15)
     np.testing.assert_allclose(m, m[:, :, ::-1], atol=1e-15)
@@ -138,7 +137,7 @@ def test_aggregate_single_window_identity():
     rng = np.random.default_rng(1)
     vol = Volume3D(rng.random((4, 8, 8)).astype(np.float32))
     plan = WindowPlan.build(vol.dims, (4, 8, 8), (4, 8, 8))
-    assert plan.count == 1
+    assert len(list(plan.iter_origins())) == 1
     out = aggregate(lambda win: win[None] * 2.0, vol, plan, blend_mask((4, 8, 8)))
     np.testing.assert_allclose(out.data[0], vol.values * 2.0, atol=1e-7)
 
@@ -176,13 +175,14 @@ def test_aggregate_rejects_non_finite_window_at_once():
         return out
 
     with pytest.raises(ValueError, match=r"origin \(0, 0, 4\) is not finite"):
-        aggregate(predict, vol, plan, flat_mask((4, 4, 4)))
+        aggregate(predict, vol, plan, blend_mask((4, 4, 4), 1.0))
     assert len(calls) == 2  # the remaining windows never run
 
 
 def test_aggregate_uncovered_voxels_rejected():
     vol = Volume3D(np.zeros((4, 10, 10), dtype=np.float32))
-    plan = WindowPlan.build(vol.dims, (4, 8, 8), (4, 4, 4), clamp_last=False)
+    # Origin 0 alone on each axis: x and y 8-9 are uncovered.
+    plan = WindowPlan((4, 8, 8), ((0, False),), ((0, False),), ((0, False),))
     with pytest.raises(ValueError, match="uncovered"):
         aggregate(_const_predictor(0.5), vol, plan, blend_mask((4, 8, 8)))
 
@@ -202,7 +202,7 @@ def test_aggregate_uncovered_plan_makes_no_predictor_call(window, strides):
         return np.zeros((1,) + win.shape)
 
     with pytest.raises(ValueError, match="window plan leaves voxels uncovered"):
-        aggregate(predict, vol, plan, flat_mask(window))
+        aggregate(predict, vol, plan, blend_mask(window, 1.0))
     assert calls == []
 
 
@@ -210,21 +210,20 @@ def test_aggregate_rejects_z_origins_out_of_order():
     vol = Volume3D(np.zeros((8, 4, 4), dtype=np.float32))
     plan = WindowPlan((4, 4, 4), ((4, False), (0, False)), ((0, False),), ((0, False),))
     with pytest.raises(ValueError, match="increasing order"):
-        aggregate(_const_predictor(0.5), vol, plan, flat_mask((4, 4, 4)))
+        aggregate(_const_predictor(0.5), vol, plan, blend_mask((4, 4, 4), 1.0))
 
 
 def _full_volume_aggregate(predictor, volume, plan, mask):
     """Reference: one float64 numerator and denominator over the whole
     volume, filled in plan order, then divided and cast to float32."""
     wz, wy, wx = plan.window
-    m = mask.weights
     num, den = None, np.zeros(volume.dims)
     for z, y, x in plan.iter_origins():
         pred = predictor(volume.values[z : z + wz, y : y + wy, x : x + wx])
         if num is None:
             num = np.zeros((pred.shape[0],) + volume.dims)
-        num[:, z : z + wz, y : y + wy, x : x + wx] += m[None] * pred
-        den[z : z + wz, y : y + wy, x : x + wx] += m
+        num[:, z : z + wz, y : y + wy, x : x + wx] += mask[None] * pred
+        den[z : z + wz, y : y + wy, x : x + wx] += mask
     return (num / den[None]).astype(np.float32)
 
 
@@ -242,14 +241,14 @@ def _axis(draw, lo=1, hi=24):
 @given(
     axes=st.tuples(_axis(), _axis(hi=12), _axis(hi=12)),
     channels=st.integers(1, 3),
-    blend=st.booleans(),
+    edge_floor=st.sampled_from([DEFAULT_EDGE_FLOOR, 1.0]),
     seed=st.integers(0, 2**16),
 )
-def test_aggregate_streams_bit_identical_to_full_volume(axes, channels, blend, seed):
+def test_aggregate_streams_bit_identical_to_full_volume(axes, channels, edge_floor, seed):
     dims, window, strides = (tuple(a[i] for a in axes) for i in range(3))
     vol = Volume3D(np.random.default_rng(seed).random(dims).astype(np.float32))
     plan = WindowPlan.build(dims, window, strides)
-    mask = blend_mask(window) if blend else flat_mask(window)
+    mask = blend_mask(window, edge_floor)
 
     def predict(win):
         return np.stack([np.sin(win * (c + 1)) for c in range(channels)])
@@ -329,8 +328,11 @@ def test_tiled_inference_constant_predictor():
 
 
 def test_flat_mask_is_uniform():
-    m = flat_mask((3, 4, 5))
-    assert np.all(m.weights == 1.0)
+    """Edge floor 1, the no-blend-weight ablation, gives exactly uniform weights."""
+    for window in ((3, 4, 5), (16, 128, 128), (1, 7, 2)):
+        m = blend_mask(window, 1.0)
+        assert m.dtype == np.float64
+        assert m.tobytes() == np.ones(window).tobytes()
 
 
 def _aggregate_each_then_ensemble(predictors, volume, pad_to, window, strides, mask, workers):
@@ -350,11 +352,11 @@ def _aggregate_each_then_ensemble(predictors, volume, pad_to, window, strides, m
     channels=st.integers(1, 3),
     dims=st.tuples(st.integers(2, 12), st.integers(8, 14), st.integers(8, 14)),
     extra=st.sampled_from([0, 0, 1, 4]),
-    blend=st.booleans(),
+    edge_floor=st.sampled_from([DEFAULT_EDGE_FLOOR, 1.0]),
     workers=st.sampled_from([1, 2]),
     data=st.data(),
 )
-def test_tiled_inference_folds_ensemble_bit_identically(models, channels, dims, extra, blend, workers, data):
+def test_tiled_inference_folds_ensemble_bit_identically(models, channels, dims, extra, edge_floor, workers, data):
     """The ensemble folded into the last model's flushes equals per-model
     aggregation, crop and `ensemble`, byte for byte, padded XY or not."""
     d, h, w = dims
@@ -373,10 +375,10 @@ def test_tiled_inference_folds_ensemble_bit_identically(models, channels, dims, 
 
     predictors = [member(k) for k in range(models)]
     window, strides = (wz, whw, whw), (sz, sxy, sxy)
-    mask = blend_mask(window) if blend else flat_mask(window)
+    mask = blend_mask(window, edge_floor)
     want = _aggregate_each_then_ensemble(predictors, vol, pad_to, window, strides, mask, workers)
     got = tiled_inference(predictors, vol, window_hw=whw, xy_stride=sxy, pad_to=pad_to, z_window=wz,
-                          z_stride=sz, use_blend=blend, workers=workers)
+                          z_stride=sz, edge_floor=edge_floor, workers=workers)
     assert got.data.shape == want.shape
     assert got.data.tobytes() == want.tobytes()
 
@@ -386,7 +388,7 @@ def test_aggregate_rejects_members_of_another_shape():
     plan = WindowPlan.build(vol.dims, (4, 4, 4), (4, 4, 4))
     other = Heatmap(np.zeros((3, 4, 4, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="share shape"):
-        aggregate(_const_predictor(0.5), vol, plan, flat_mask((4, 4, 4)), members=[other])
+        aggregate(_const_predictor(0.5), vol, plan, blend_mask((4, 4, 4), 1.0), members=[other])
 
 
 def test_two_model_inference_peak_memory_is_one_output_and_a_slab():

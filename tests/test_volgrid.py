@@ -143,44 +143,33 @@ def test_volume_rejects_bad_spacing():
 
 def test_pad_630_to_656():
     v = Volume3D(np.zeros((2, 630, 630), dtype=np.float32))
-    padded = pad_volume(v, (0, 13, 13), (0, 13, 13), mode="reflect")
+    padded = pad_volume(v, (0, 13, 13), (0, 13, 13))
     assert padded.dims == (2, 656, 656)
-
-
-def test_zero_pad_border():
-    v = Volume3D(np.full((3, 3, 3), 5.0, dtype=np.float32))
-    padded = pad_volume(v, (1, 1, 1), (1, 1, 1), mode="zero")
-    assert padded.dims == (5, 5, 5)
-    assert padded.values[2, 2, 2] == 5.0
-    assert padded.values[0].max() == 0.0
-    assert padded.values[:, 0].max() == 0.0
-    assert padded.values[:, :, 0].max() == 0.0
 
 
 def test_reflect_pad_does_not_repeat_edge():
     row = np.array([[[1.0, 2.0, 3.0]]], dtype=np.float32)  # [a, b, c]
-    padded = pad_volume(Volume3D(row), (0, 0, 1), (0, 0, 1), mode="reflect")
+    padded = pad_volume(Volume3D(row), (0, 0, 1), (0, 0, 1))
     assert padded.values[0, 0].tolist() == [2.0, 1.0, 2.0, 3.0, 2.0]
 
 
 def test_reflect_pad_too_large():
     v = Volume3D(np.zeros((2, 2, 2), dtype=np.float32))
     with pytest.raises(ValueError):
-        pad_volume(v, (2, 0, 0), (0, 0, 0), mode="reflect")
+        pad_volume(v, (2, 0, 0), (0, 0, 0))
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     dims=st.tuples(*[st.integers(2, 6)] * 3),
     pads=st.tuples(*[st.integers(0, 1)] * 6),
-    mode=st.sampled_from(["reflect", "zero"]),
     seed=st.integers(0, 2**16),
 )
-def test_pad_then_crop_is_identity(dims, pads, mode, seed):
+def test_pad_then_crop_is_identity(dims, pads, seed):
     rng = np.random.default_rng(seed)
     v = Volume3D(rng.normal(size=dims).astype(np.float32))
     before, after = pads[:3], pads[3:]
-    padded = pad_volume(v, before, after, mode=mode)
+    padded = pad_volume(v, before, after)
     (z, y, x), (d, h, w) = before, dims
     assert Volume3D(padded.values[z : z + d, y : y + h, x : x + w]) == v
 
