@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error (argparse), 3 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -28,7 +29,7 @@ EXIT_DATA = 4
 
 def _default_workers() -> int:
     raw = os.environ.get("TOMOPICK_THREADS", "1")
-    if not raw.strip().isdigit() or int(raw) < 1:
+    if not raw.strip().isdecimal() or int(raw) < 1:
         raise ConfigError(f"TOMOPICK_THREADS must be an integer >= 1, got {raw!r}")
     return int(raw)
 
@@ -41,16 +42,22 @@ def _load_cfg(args) -> PipelineConfig:
     return replace(cfg, **{f: getattr(args, f) for f in fields if getattr(args, f, None) is not None})
 
 
-def _parse_counts(spec: str, cfg: PipelineConfig) -> tuple[int, ...]:
+def _counts_per_class(pairs: tuple[tuple[str, int], ...], cfg: PipelineConfig) -> tuple[int, ...]:
     counts = {c.name: 0 for c in cfg.classes}
-    for part in spec.split(","):
-        if not part:
-            continue
-        name, _, num = part.partition("=")
+    for name, num in pairs:
         if name not in counts:
             raise ConfigError(f"unknown class {name!r} in --counts")
-        counts[name] = int(num)
+        counts[name] = num
     return tuple(counts[c.name] for c in cfg.classes)
+
+
+@contextlib.contextmanager
+def _config_values(prefix: str = ""):
+    """A ValueError raised by a config object built inside is a config error (exit 3)."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"{prefix}{e}") from e
 
 
 def _window_depth(variant: str, cfg: PipelineConfig) -> int:
@@ -61,7 +68,7 @@ def _window_depth(variant: str, cfg: PipelineConfig) -> int:
 
 def _net_config(args, cfg: PipelineConfig, seed: int = 0) -> nets.NetConfig:
     """The net that the config and net flags describe; exit 3 if none can be built."""
-    try:
+    with _config_values("no net can be built: "):
         return nets.NetConfig(
             variant=args.variant,
             in_depth=_window_depth(args.variant, cfg),
@@ -72,8 +79,6 @@ def _net_config(args, cfg: PipelineConfig, seed: int = 0) -> nets.NetConfig:
             seed=seed,
             strided_depth_pool=args.strided_depth_pool,
         )
-    except ValueError as e:
-        raise ConfigError(f"no net can be built: {e}") from e
 
 
 def stage_widths(text: str) -> tuple[int, ...]:
@@ -81,17 +86,18 @@ def stage_widths(text: str) -> tuple[int, ...]:
     return tuple(int(w) for w in text.split(","))
 
 
+def class_counts(text: str) -> tuple[tuple[str, int], ...]:
+    """--counts: name=N[,name=N...]; argparse reports a bad value as a usage error."""
+    pairs = [part.split("=") for part in text.split(",") if part]
+    return tuple((name, int(num)) for name, num in pairs)
+
+
 def cmd_gen(args) -> int:
     cfg = _load_cfg(args)
-    spec = SceneSpec(
-        dims=tuple(args.dims),
-        classes=cfg.classes,
-        counts=_parse_counts(args.counts, cfg),
-        noise_sigma=args.noise_sigma,
-        min_separation=args.min_separation,
-        seed=args.seed,
-        spacing=cfg.spacing,
-    )
+    with _config_values():
+        spec = SceneSpec(dims=tuple(args.dims), classes=cfg.classes,
+                         counts=_counts_per_class(args.counts, cfg), noise_sigma=args.noise_sigma,
+                         min_separation=args.min_separation, seed=args.seed, spacing=cfg.spacing)
     volume, picks = generate_tomogram(spec)
     write_volume(volume, args.out_volume)
     write_picks(picks, list(cfg.classes), args.out_picks)
@@ -111,6 +117,10 @@ def cmd_rasterize(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     ncfg = _net_config(args, cfg, seed=args.seed)
+    with _config_values():
+        tcfg = train_mod.TrainConfig(
+            epochs=args.epochs, base_lr=args.lr, warmup_epochs=args.warmup_epochs,
+            weight_decay=args.weight_decay, batch_size=args.batch_size, seed=args.seed, loss=args.loss)
     data_dir = Path(args.data)
     vols = sorted(data_dir.glob("*.vol"))
     if not vols:
@@ -123,15 +133,6 @@ def cmd_train(args) -> int:
         volume = read_volume(vol_path)
         picks = read_picks(picks_path, list(cfg.classes), cfg.spacing)
         dataset.extend(train_mod.scene_windows(volume, picks, cfg, ncfg))
-    tcfg = train_mod.TrainConfig(
-        epochs=args.epochs,
-        base_lr=args.lr,
-        warmup_epochs=args.warmup_epochs,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        loss=args.loss,
-    )
     net = nets.build_net(ncfg)
     result = train_mod.train(dataset, net, tcfg)
     net.set_params(result.ema_weights if args.use_ema else result.weights)
@@ -230,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic tomogram + ground-truth picks")
     common(p, seed=True)
     p.add_argument("--dims", type=int, nargs=3, required=True, metavar=("D", "H", "W"))
-    p.add_argument("--counts", required=True, help="name=N[,name=N...] particles per class")
+    p.add_argument("--counts", type=class_counts, required=True,
+                   help="name=N[,name=N...] particles per class")
     p.add_argument("--noise-sigma", type=float, default=0.05)
     p.add_argument("--min-separation", type=float, default=0.0)
     p.add_argument("--out-volume", required=True)

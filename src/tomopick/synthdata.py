@@ -41,8 +41,9 @@ class SceneSpec:
             raise ValueError("counts must align with classes")
         if any(c < 0 for c in self.counts):
             raise ValueError("counts must be >= 0")
-        if self.noise_sigma < 0 or self.min_separation < 0:
-            raise ValueError("noise_sigma and min_separation must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.noise_sigma, self.min_separation)):
+            raise ValueError(f"noise_sigma and min_separation must be finite and >= 0, got "
+                             f"{self.noise_sigma} and {self.min_separation}")
         if min(self.dims) <= 0:
             raise ValueError("dims must be positive")
 

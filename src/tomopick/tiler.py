@@ -8,11 +8,11 @@ Aggregation streams along z. The plan is z-major, so once the z origin moves
 past a row, no later window adds to it. The float64 numerator and denominator
 are therefore held only for a slab of rows, z_window plus the largest z gap
 deep: when the z origin moves on, the finished rows are divided straight into
-the float32 output and the slab slides down. An ensemble's last model folds
-the other models' heatmaps in at each flush, writing the mean over the first.
-Peak memory for N >= 2 models is N - 1 float32 heatmaps plus a slab of
-O(C * (z_window + z_stride) * H * W), not O(N * C * D * H * W). The plan's
-coverage of the volume is checked before the first window runs.
+the float32 output and the slab slides down. Only the kept (y, x) region is
+written, and an ensemble's last model folds the other models' heatmaps in at
+each flush. Peak memory for N models is max(1, N - 1) float32 heatmaps of the
+kept region plus a slab of O(C * (z_window + z_stride) * H * W), and the
+plan's coverage of the volume is checked before the first window runs.
 """
 
 from __future__ import annotations
@@ -106,14 +106,15 @@ def aggregate(
     plan: WindowPlan,
     mask: np.ndarray,
     workers: int = 1,
-    *, members: Sequence[Heatmap] = (),
+    *, members: Sequence[Heatmap] = (), keep: tuple[slice, slice] = (slice(None), slice(None)),
 ) -> Heatmap:
-    """Blend-weighted mean of window predictions over the whole volume.
+    """Blend-weighted mean of window predictions over the whole volume, kept
+    for the `keep` (y, x) slices of each plane.
 
     Workers evaluate windows in parallel; accumulation happens serially in
-    plan order into float64 slab accumulators that stream along z. With
-    members (earlier models' heatmaps of this volume), the result is
-    `ensemble(members + [this model])` bit for bit, written over members[0].
+    plan order into float64 slab accumulators that stream along z. The result
+    is `ensemble(members + [this model])` bit for bit, written over members[0]
+    if given (earlier models' heatmaps of the kept region).
     """
     wz, wy, wx = plan.window
     if mask.shape != plan.window:
@@ -126,6 +127,7 @@ def aggregate(
         raise ValueError("window plan leaves voxels uncovered")
     vol = volume.values
     origins = list(plan.iter_origins())
+    ys, xs = keep
 
     def run(origin):
         z, y, x = origin
@@ -147,18 +149,16 @@ def aggregate(
         nonlocal base
         if den[:rows].min() <= 0.0:
             raise ValueError("window plan leaves voxels uncovered")
-        dst = out[:, base : base + rows]
-        if not members:
-            np.divide(num[:, :rows], den[:rows], out=dst, casting="same_kind")
-        # `ensemble`'s arithmetic with this model's float32 quotient last. The
-        # flushed numerator rows hold the sum: the slide below overwrites them.
-        for c, acc in enumerate(num[:, :rows] if members else ()):
-            np.divide(acc, den[:rows], out=quot[:rows], casting="same_kind")
-            acc[...] = dst[c]
-            for hm in members[1:]:
-                acc += hm.data[c, base : base + rows]
-            acc += quot[:rows]
-            np.divide(acc, len(members) + 1, out=dst[c], casting="same_kind")
+        # `ensemble`'s arithmetic on the kept region, this model's float32
+        # quotient last; one model divides by 1, which is exact. The flushed
+        # numerator rows hold the sum: the slide below overwrites them.
+        for c, acc in enumerate(num[:, :rows, ys, xs]):
+            np.divide(acc, den[:rows, ys, xs], out=quot[:rows], casting="same_kind")
+            parts = [hm.data[c, base : base + rows] for hm in members] + [quot[:rows]]
+            acc[...] = parts[0]
+            for part in parts[1:]:
+                acc += part
+            np.divide(acc, len(parts), out=out[c, base : base + rows], casting="same_kind")
         # Slide in chunks of `rows` planes, which never overlap, one 3-d array
         # at a time: numpy cannot prove that 4-d views of num do not overlap,
         # and would copy each chunk. The top `rows` planes keep their old
@@ -173,13 +173,13 @@ def aggregate(
     def consume(origin, pred):
         nonlocal num, prod, out, quot
         if num is None:
-            shape = (pred.shape[0], d, h, w)
+            shape = (pred.shape[0], d, *den[0, ys, xs].shape)
             if any(hm.data.shape != shape for hm in members):
                 raise ValueError("ensemble inputs must share shape")
             num = np.zeros((pred.shape[0], depth, h, w), dtype=np.float64)
             prod = np.empty(pred.shape[1:], dtype=np.float64)
             out = members[0].data if members else np.empty(shape, dtype=np.float32)
-            quot = np.empty((depth, h, w), dtype=np.float32) if members else None
+            quot = np.empty((depth, *shape[2:]), dtype=np.float32)
         z, y, x = origin
         if z > base:
             flush(z - base)
@@ -238,8 +238,8 @@ def tiled_inference(
     edge_floor: float = DEFAULT_EDGE_FLOOR,
     workers: int = 1,
 ) -> Heatmap:
-    """Full-volume inference: reflect-pad XY to pad_to, slide windows, blend,
-    average across models, then crop back."""
+    """Full-volume inference: reflect-pad XY to pad_to, slide windows, blend
+    and average across models into the unpadded region only."""
     d, h, w = volume.dims
     if pad_to < max(h, w):
         raise ValueError(f"pad_to {pad_to} smaller than volume XY {h}x{w}")
@@ -248,6 +248,6 @@ def tiled_inference(
     padded = pad_volume(volume, (0, py0, px0), (0, py1, px1))
     plan = padded_plan(d, window_hw, xy_stride, pad_to, z_window, z_stride)
     mask = blend_mask(plan.window, edge_floor)
-    members = [aggregate(p, padded, plan, mask, workers=workers) for p in predictors[:-1]]
-    hm = aggregate(predictors[-1], padded, plan, mask, workers=workers, members=members)
-    return Heatmap(hm.data[:, :, py0 : py0 + h, px0 : px0 + w], volume.spacing)
+    keep = (slice(py0, py0 + h), slice(px0, px0 + w))
+    members = [aggregate(p, padded, plan, mask, workers=workers, keep=keep) for p in predictors[:-1]]
+    return aggregate(predictors[-1], padded, plan, mask, workers=workers, members=members, keep=keep)

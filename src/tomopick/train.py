@@ -31,6 +31,12 @@ class TrainConfig:
     loss: str = "weighted"
 
     def __post_init__(self):
+        if min(self.epochs, self.warmup_epochs) < 0 or self.batch_size < 1:
+            raise ValueError("epochs and warmup_epochs must be >= 0 and batch_size >= 1, got "
+                             f"{self.epochs}, {self.warmup_epochs} and {self.batch_size}")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.base_lr, self.weight_decay)):
+            raise ValueError("lr and weight_decay must be finite and >= 0, "
+                             f"got {self.base_lr} and {self.weight_decay}")
         if self.epochs > 0 and not self.warmup_epochs < self.epochs:
             raise ValueError("warmup_epochs must be < epochs")
         if not 0.0 < self.ema_decay < 1.0:

@@ -24,23 +24,7 @@ MAX_VOXELS = 1 << 36
 
 
 class VolumeError(Exception):
-    """Base class for volume container and format errors."""
-
-
-class BadMagicError(VolumeError):
-    pass
-
-
-class DimOverflowError(VolumeError):
-    pass
-
-
-class TruncatedFileError(VolumeError):
-    pass
-
-
-class NonFiniteValuesError(VolumeError):
-    pass
+    """A grid or grid file that is malformed, truncated or not finite."""
 
 
 def _check_grid(values: np.ndarray, spacing: float, ndim: int) -> np.ndarray:
@@ -53,7 +37,7 @@ def _check_grid(values: np.ndarray, spacing: float, ndim: int) -> np.ndarray:
         raise VolumeError(f"spacing must be > 0, got {spacing}")
     # min and max carry any NaN or Inf without a per-voxel temporary.
     if not (np.isfinite(values.min()) and np.isfinite(values.max())):
-        raise NonFiniteValuesError("grid contains NaN or Inf")
+        raise VolumeError("grid contains NaN or Inf")
     return values
 
 
@@ -119,7 +103,7 @@ class Heatmap:
 def _read_exact(f, n: int, what: str) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
-        raise TruncatedFileError(f"file truncated while reading {what}")
+        raise VolumeError(f"file truncated while reading {what}")
     return buf
 
 
@@ -130,20 +114,20 @@ def _read_grid(path, magic: bytes, ndim: int) -> tuple[np.ndarray, float]:
     with open(path, "rb") as f:
         found = _read_exact(f, 4, "magic")
         if found != magic:
-            raise BadMagicError(f"{path}: bad magic {found!r}")
+            raise VolumeError(f"{path}: bad magic {found!r}")
         dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims"))
         if min(dims) == 0 or math.prod(dims) > MAX_VOXELS:
-            raise DimOverflowError(f"{path}: bad dims {dims}")
+            raise VolumeError(f"{path}: bad dims {dims}")
         (spacing,) = struct.unpack("<f", _read_exact(f, 4, "spacing"))
         # Check the size before allocating: a header may claim more than the file holds.
         left, nbytes = os.fstat(f.fileno()).st_size - f.tell(), 4 * math.prod(dims)
         if left < nbytes:
-            raise TruncatedFileError("file truncated while reading payload")
+            raise VolumeError("file truncated while reading payload")
         if left > nbytes:
-            raise TruncatedFileError(f"{path}: trailing bytes after payload")
+            raise VolumeError(f"{path}: trailing bytes after payload")
         values = np.empty(dims, dtype="<f4")
         if f.readinto(values) != nbytes:
-            raise TruncatedFileError("file truncated while reading payload")
+            raise VolumeError("file truncated while reading payload")
     return values, spacing
 
 

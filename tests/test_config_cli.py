@@ -433,6 +433,13 @@ def test_strided_depth_pool_checkpoint_can_be_inferred(tmp_path):
         ("--workers", "0"))],
     ("train", "--data", "none", "--out", "none.wts", "--window-hw", "1024"),
     ("train", "--data", "none", "--out", "none.wts", "--window-hw", "20"),  # no net: 20 % 8 != 0
+    *[("train", "--data", "none", "--out", "none.wts", *bad) for bad in (
+        ("--epochs", "-1"), ("--warmup-epochs", "-1"), ("--batch-size", "0"),
+        ("--warmup-epochs", "3", "--epochs", "2"), ("--lr", "nan"), ("--lr", "-1"), ("--weight-decay", "nan"))],
+    *[("gen", "--dims", "8", "32", "32", "--counts", "apo_ferritin=1", "--out-volume", "none/none.vol",
+       "--out-picks", "none/none.picks", *bad) for bad in (
+        ("--noise-sigma", "nan"), ("--min-separation", "nan"), ("--dims", "8", "0", "32"),
+        ("--counts", "apo_ferritin=-1"))],
 ], ids=lambda argv: " ".join((argv[0], *argv[-2:])))
 def test_bad_cli_override_exits_3(argv, capsys):
     """A flag that overrides a config field is checked like the same value in a
@@ -471,6 +478,19 @@ def test_no_net_for_the_config_and_flags_exits_3(tmp_path, capsys, line, flags, 
 def test_widths_that_are_not_integers_exit_2(capsys, command, widths):
     assert run_cli(*command, "--widths", widths) == 2
     assert "argument --widths: invalid stage_widths value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("counts", ["blob=x", "blob", "blob=1=2", "blob="])
+def test_counts_that_do_not_parse_exit_2(capsys, counts):
+    argv = ("gen", "--dims", "8", "32", "32", "--out-volume", "none/none.vol", "--out-picks", "none/none.picks")
+    assert run_cli(*argv, "--counts", counts) == 2
+    assert "argument --counts: invalid class_counts value" in capsys.readouterr().err
+
+
+def test_thread_env_that_int_cannot_parse_exits_3(monkeypatch, capsys):
+    monkeypatch.setenv("TOMOPICK_THREADS", "\u00b2")  # a digit to str.isdigit, not to int()
+    assert run_cli("plan", "--dims", "64", "64", "64") == 3
+    assert "config error: TOMOPICK_THREADS" in capsys.readouterr().err
 
 
 def test_flags_exist_only_where_they_act():

@@ -335,14 +335,14 @@ def test_flat_mask_is_uniform():
         assert m.tobytes() == np.ones(window).tobytes()
 
 
-def _aggregate_each_then_ensemble(predictors, volume, pad_to, window, strides, mask, workers):
-    """Reference: each model's heatmap of the padded volume, cropped, then
-    averaged by `ensemble` in a separate pass."""
+def _aggregate_each_then_ensemble(predictors, volume, pad_to, window, strides, mask):
+    """Reference: each model's full-volume heatmap of the padded volume,
+    cropped, then averaged by `ensemble` in a separate pass."""
     d, h, w = volume.dims
     py0, px0 = (pad_to - h) // 2, (pad_to - w) // 2
     padded = pad_volume(volume, (0, py0, px0), (0, pad_to - h - py0, pad_to - w - px0))
     plan = WindowPlan.build(padded.dims, window, strides)
-    crops = [aggregate(p, padded, plan, mask, workers=workers).data for p in predictors]
+    crops = [_full_volume_aggregate(p, padded, plan, mask) for p in predictors]
     return ensemble([Heatmap(c[:, :, py0 : py0 + h, px0 : px0 + w]) for c in crops]).data
 
 
@@ -376,7 +376,7 @@ def test_tiled_inference_folds_ensemble_bit_identically(models, channels, dims, 
     predictors = [member(k) for k in range(models)]
     window, strides = (wz, whw, whw), (sz, sxy, sxy)
     mask = blend_mask(window, edge_floor)
-    want = _aggregate_each_then_ensemble(predictors, vol, pad_to, window, strides, mask, workers)
+    want = _aggregate_each_then_ensemble(predictors, vol, pad_to, window, strides, mask)
     got = tiled_inference(predictors, vol, window_hw=whw, xy_stride=sxy, pad_to=pad_to, z_window=wz,
                           z_stride=sz, edge_floor=edge_floor, workers=workers)
     assert got.data.shape == want.shape
@@ -412,4 +412,28 @@ def test_two_model_inference_peak_memory_is_one_output_and_a_slab():
     # copy and small buffers.
     bound = out_bytes + 2 * c * (wz + sz) * hw * hw * 8 + (1 << 20)
     assert bound < 2 * out_bytes + 2 * c * (wz + sz) * hw * hw * 8
+    assert peak < bound, (peak, bound)
+
+
+def test_padded_two_model_inference_keeps_only_the_unpadded_heatmap():
+    """With XY padded, two models hold the first model's heatmap of the
+    unpadded region, the last one's slab and the padded input: no heatmap of
+    the padded plane and no cropped copy of one."""
+    c, d, hw, pad_to, wz, sz = 4, 256, 48, 64, 4, 4
+    vol = Volume3D(np.random.default_rng(4).random((d, hw, hw)).astype(np.float32))
+
+    def predict(win):
+        return np.stack([win * (k + 1) for k in range(c)])
+
+    tracemalloc.start()
+    try:
+        hm = tiled_inference([predict, predict], vol, window_hw=32, xy_stride=16, pad_to=pad_to,
+                             z_window=wz, z_stride=sz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept_bytes, padded_input = hm.data.nbytes, d * pad_to * pad_to * 4
+    bound = kept_bytes + 2 * c * (wz + sz) * pad_to * pad_to * 8 + padded_input + (1 << 20)
+    # A crop copy alongside the padded heatmap it is cut from would not fit.
+    assert bound < kept_bytes + c * d * pad_to * pad_to * 4
     assert peak < bound, (peak, bound)
