@@ -43,12 +43,14 @@ def _load_cfg(args) -> PipelineConfig:
 
 
 def _counts_per_class(pairs: tuple[tuple[str, int], ...], cfg: PipelineConfig) -> tuple[int, ...]:
-    counts = {c.name: 0 for c in cfg.classes}
+    counts = dict.fromkeys(c.name for c in cfg.classes)
     for name, num in pairs:
         if name not in counts:
             raise ConfigError(f"unknown class {name!r} in --counts")
+        if counts[name] is not None:
+            raise ConfigError(f"class {name!r} repeated in --counts")
         counts[name] = num
-    return tuple(counts[c.name] for c in cfg.classes)
+    return tuple(counts[c.name] or 0 for c in cfg.classes)
 
 
 @contextlib.contextmanager

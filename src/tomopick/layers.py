@@ -19,6 +19,7 @@ attention and the multi-scale fusion block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -93,6 +94,31 @@ class Layer:
         raise NotImplementedError
 
 
+@functools.lru_cache(maxsize=256)
+def conv_geometry(cin, kernel, stride, pad, dilation, dims):
+    """A `Conv`'s geometry for input extents `dims`: output extents, output grid
+    (out_d, lh, lw) and its size, the phase view (cin, sd, sh, sw, ld, lh, lw)
+    of the flat row's head, the row length, each tap's weight index and offset,
+    and each phase's view index with the input slice it holds."""
+    out = tuple(-(-n // s) for n, s in zip(dims, stride))
+    ld, lh, lw = (-(-(n + 2 * p) // s) for n, p, s in zip(dims, pad, stride))
+    _, sh, sw = stride
+    taps = []
+    for tap in itertools.product(*(range(k) for k in kernel)):
+        (qd, pd), (qh, ph), (qw, pw) = (divmod(t * dilation, s) for t, s in zip(tap, stride))
+        off = ((pd * sh + ph) * sw + pw) * ld * lh * lw + (qd * lh + qh) * lw + qw
+        taps.append(((slice(None), slice(None)) + tap, off))
+    axes = []
+    for n, p0, s in zip(dims, pad, stride):
+        spans = [(p, -(-(p0 - p) // s), -(-(n + p0 - p) // s)) for p in range(s)]
+        axes.append([(p, slice(q0, q1), slice(q0 * s + p - p0, n, s)) for p, q0, q1 in spans])
+    phases = tuple(((slice(None), pd, ph, pw, qd, qh, qw), (slice(None), xd, xh, xw))
+                   for (pd, qd, xd), (ph, qh, xh), (pw, qw, xw) in itertools.product(*axes))
+    n = out[0] * lh * lw
+    size = max(ld * lh * lw * math.prod(stride), max(off for _, off in taps) + n)
+    return out, (out[0], lh, lw), n, (cin,) + stride + (ld, lh, lw), size, tuple(taps), phases
+
+
 class Conv(Layer):
     """Same-padded cross-correlation with a per-axis (depth, height, width)
     kernel and stride and one dilation for all axes.
@@ -126,47 +152,24 @@ class Conv(Layer):
         self.params["bias"] = np.zeros(cout, dtype=dtype)
         self.zero_grads()
 
-    def _layout(self, dims):
-        """For an input of extents `dims`: the output extents, the output grid
-        (out_d, lh, lw), the phase view shape (cin, sd, sh, sw, ld, lh, lw) of
-        the row's head, and each kernel tap's weight index with its offset."""
-        out = tuple(-(-n // s) for n, s in zip(dims, self.stride))
-        ld, lh, lw = (-(-(n + 2 * p) // s) for n, p, s in zip(dims, self.pad, self.stride))
-        _, sh, sw = self.stride
-        offsets = []
-        for tap in itertools.product(*(range(k) for k in self.kernel)):
-            (qd, pd), (qh, ph), (qw, pw) = (divmod(t * self.dilation, s) for t, s in zip(tap, self.stride))
-            off = ((pd * sh + ph) * sw + pw) * ld * lh * lw + (qd * lh + qh) * lw + qw
-            offsets.append(((slice(None), slice(None)) + tap, off))
-        return out, (out[0], lh, lw), (self.cin,) + self.stride + (ld, lh, lw), offsets
-
-    def _phases(self, flat, view, dims):
-        """Each phase grid in the row array `flat` and the input slice it holds;
-        phase p of an axis keeps padded index q * s + p at grid index q."""
-        grids = flat[:, : math.prod(view[1:])].reshape(view)
-        axes = []
-        for n, pad, s in zip(dims, self.pad, self.stride):
-            spans = [(p, -(-(pad - p) // s), -(-(n + pad - p) // s)) for p in range(s)]
-            axes.append([(p, slice(q0, q1), slice(q0 * s + p - pad, n, s)) for p, q0, q1 in spans])
-        for (pd, qd, xd), (ph, qh, xh), (pw, qw, xw) in itertools.product(*axes):
-            yield grids[:, pd, ph, pw, qd, qh, qw], (slice(None), xd, xh, xw)
+    def _geometry(self, dims):
+        return conv_geometry(self.cin, self.kernel, self.stride, self.pad, self.dilation, dims)
 
     def forward(self, x, train=True):
         if x.shape[0] != self.cin:
             raise ValueError(f"expected {self.cin} channels, got {x.shape[0]}")
-        out, grid, view, offsets = self._layout(x.shape[1:])
-        n = math.prod(grid)
-        size = max(math.prod(view[1:]), max(off for _, off in offsets) + n)
+        out, grid, n, view, size, taps, phases = self._geometry(x.shape[1:])
         flat = np.zeros((self.cin, size), dtype=x.dtype)
-        for phase, src in self._phases(flat, view, x.shape[1:]):
-            phase[...] = x[src]
+        grids = flat[:, : math.prod(view[1:])].reshape(view)
+        for phase, src in phases:
+            grids[phase] = x[src]
         wgt = self.params["weight"].reshape((self.cout, self.cin) + self.kernel)
         acc = np.empty((self.cout, n), dtype=x.dtype)
         tmp = np.empty_like(acc)
         # With one input channel, matmul leaves BLAS and runs several times
         # slower than a broadcast multiply, which gives the same products.
         product = np.multiply if self.cin == 1 else np.matmul
-        for i, (tap, off) in enumerate(offsets):
+        for i, (tap, off) in enumerate(taps):
             product(wgt[tap], flat[:, off : off + n], out=tmp if i else acc)
             if i:
                 acc += tmp
@@ -179,22 +182,22 @@ class Conv(Layer):
 
     def backward(self, gy):
         flat, xshape = self._take_cache()
-        out, grid, view, offsets = self._layout(xshape[1:])
-        n = math.prod(grid)
+        out, grid, n, view, _, taps, phases = self._geometry(xshape[1:])
         g = np.zeros((self.cout, n), dtype=flat.dtype)
         g.reshape((self.cout,) + grid)[:, :, : out[1], : out[2]] = gy
         wgt = self.params["weight"].reshape((self.cout, self.cin) + self.kernel)
         gw = self.grads["weight"].reshape(wgt.shape)
         gflat = np.zeros_like(flat)
         tmp = np.empty((self.cin, n), dtype=flat.dtype)
-        for tap, off in offsets:
+        for tap, off in taps:
             gw[tap] += g @ flat[:, off : off + n].T
             np.matmul(wgt[tap].T, g, out=tmp)
             gflat[:, off : off + n] += tmp
         self.grads["bias"] += gy.sum(axis=(1, 2, 3))
         gx = np.empty(xshape, dtype=flat.dtype)
-        for phase, src in self._phases(gflat, view, xshape[1:]):
-            gx[src] = phase
+        grids = gflat[:, : math.prod(view[1:])].reshape(view)
+        for phase, src in phases:
+            gx[src] = grids[phase]
         return gx
 
 
@@ -296,13 +299,14 @@ class UpsampleNearest(Layer):
 
 class SiLU(Layer):
     def forward(self, x, train=True):
-        if train:
-            self._cache = x
-        return silu(x)
+        if not train:
+            return silu(x)  # one expression: numpy reuses the sigmoid's buffer for the product
+        s = sigmoid(x)  # the cache is silu_grad(x) from this sigmoid; the output takes its buffer
+        self._cache = s * (1.0 + x * (1.0 - s))
+        return np.multiply(x, s, out=s)
 
     def backward(self, gy):
-        x = self._take_cache()
-        return gy * silu_grad(x)
+        return gy * self._take_cache()
 
 
 class SCSEBlock(Layer):
@@ -333,8 +337,7 @@ class SCSEBlock(Layer):
         hidden = silu(h_pre)
         g_pre = self.params["fc2_w"] @ hidden + self.params["fc2_b"]
         cgate = sigmoid(g_pre)
-        s_pre = np.einsum("cdhw,c->dhw", x, self.params["sp_w"], optimize=True)
-        s_pre = s_pre + self.params["sp_b"][0]
+        s_pre = np.einsum("cdhw,c->dhw", x, self.params["sp_w"], optimize=True) + self.params["sp_b"][0]
         sgate = sigmoid(s_pre)
         if train:
             self._cache = (x, m, h_pre, hidden, cgate, sgate)
@@ -342,7 +345,6 @@ class SCSEBlock(Layer):
 
     def backward(self, gy):
         x, m, h_pre, hidden, cgate, sgate = self._take_cache()
-        nvox = x[0].size
         gx = gy * cgate[:, None, None, None] + gy * sgate[None]
         # channel-gate path
         dcg = np.einsum("cdhw,cdhw->c", gy, x, optimize=True)
@@ -354,7 +356,7 @@ class SCSEBlock(Layer):
         self.grads["fc1_w"] += np.outer(dh_pre, m)
         self.grads["fc1_b"] += dh_pre
         dm = self.params["fc1_w"].T @ dh_pre
-        gx += (dm / nvox)[:, None, None, None]
+        gx += (dm / x[0].size)[:, None, None, None]
         # spatial-gate path
         dsg = np.einsum("cdhw->dhw", gy * x)
         ds_pre = dsg * sgate * (1.0 - sgate)
@@ -387,15 +389,11 @@ class FusionBlock(Layer):
         if len(xs) != len(self.in_channels):
             raise ValueError("feature map count mismatch")
         target = max((x.shape[1:] for x in xs), key=lambda s: s[0] * s[1] * s[2])
-        factors = []
-        ups = []
-        for x in xs:
-            f = tuple(t // s for t, s in zip(target, x.shape[1:]))
+        factors = [tuple(t // s for t, s in zip(target, x.shape[1:])) for x in xs]
+        for x, f in zip(xs, factors):
             if any(fi < 1 or fi * s != t for fi, s, t in zip(f, x.shape[1:], target)):
                 raise ValueError(f"dims {x.shape[1:]} not an integer divisor of {target}")
-            factors.append(f)
-            ups.append(upsample_nearest(x, f))
-        cat = np.concatenate(ups, axis=0)
+        cat = np.concatenate([upsample_nearest(x, f) for x, f in zip(xs, factors)], axis=0)
         outs = [act.forward(br.forward(cat, train), train) for br, act in zip(self.branches, self.acts)]
         y = self.proj.forward(np.concatenate(outs, axis=0), train)
         if train:

@@ -487,6 +487,17 @@ def test_counts_that_do_not_parse_exit_2(capsys, counts):
     assert "argument --counts: invalid class_counts value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("counts", ["blob=1,blob=2", "blob=2,blob=2"])
+def test_repeated_class_in_counts_exits_3(tmp_path, small_cfg, capsys, counts):
+    """A class named twice in --counts is a config error, as an unknown class
+    is; neither count silently wins."""
+    out = tmp_path / "s.vol"
+    assert run_cli("gen", "--config", small_cfg, "--dims", "8", "32", "32", "--counts", counts,
+                   "--out-volume", str(out), "--out-picks", str(tmp_path / "s.picks")) == 3
+    assert "config error: class 'blob' repeated in --counts" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_thread_env_that_int_cannot_parse_exits_3(monkeypatch, capsys):
     monkeypatch.setenv("TOMOPICK_THREADS", "\u00b2")  # a digit to str.isdigit, not to int()
     assert run_cli("plan", "--dims", "64", "64", "64") == 3

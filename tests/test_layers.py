@@ -302,6 +302,39 @@ def test_conv_property_oracle_and_adjoint(kernel, stride, dilation, dims, cin, c
     np.testing.assert_allclose(conv.grads["bias"], gy.sum(axis=(1, 2, 3)), rtol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["cube", "cube_d2", "slice_s2", "depth_s2"])
+def test_conv_reused_across_input_shapes_matches_fresh_layers(name):
+    """One layer fed shapes A, B, A: each output and gradient has the bytes of a
+    fresh layer's with the same weights, run after the geometry cache is
+    cleared, so a geometry kept across input shapes fails."""
+    kernel, stride, dilation = NET_CONVS[name]
+
+    def step(conv, x):
+        conv.zero_grads()
+        y = conv.forward(x)
+        gx = conv.backward(np.random.default_rng(9).normal(size=y.shape).astype(np.float32))
+        return [y, gx, conv.grads["weight"], conv.grads["bias"]]
+
+    conv = L.Conv(2, 3, kernel, stride, dilation, rng64(), np.float32)
+    xa, xb = (RNG.normal(size=(2,) + dims).astype(np.float32) for dims in ((5, 6, 7), (8, 4, 9)))
+    for x in (xa, xb, xa):
+        got = step(conv, x)
+        L.conv_geometry.cache_clear()
+        want = step(L.Conv(2, 3, kernel, stride, dilation, rng64(), np.float32), x)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+
+def test_conv_builds_its_geometry_once_per_input_shape():
+    conv = cube_conv(2, 3)
+    L.conv_geometry.cache_clear()
+    for dims in ((4, 5, 6), (4, 5, 6), (3, 5, 6), (4, 5, 6)):
+        conv.backward(np.ones_like(conv.forward(RNG.normal(size=(2,) + dims))))
+    info = L.conv_geometry.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+
+
 def test_conv_rejects_even_kernel_and_channel_mismatch():
     with pytest.raises(ValueError):
         L.Conv(1, 1, (2, 3, 3), rng=rng64())
@@ -465,6 +498,33 @@ def test_upsample_nearest_and_backward():
 
 def test_silu_gradients():
     layer_fd_check(L.SiLU(), RNG.normal(size=(2, 3, 4, 4)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_silu_matches_silu_and_silu_grad_bytes(dtype):
+    """Both modes return silu(x), and the training backward is gy * silu_grad(x),
+    byte for byte, from saturated to near-zero inputs."""
+    rng = np.random.default_rng(11)
+    x = (rng.normal(size=(3, 4, 5, 6)) * np.logspace(-4, 1, 6)).astype(dtype)
+    gy = rng.normal(size=x.shape).astype(dtype)
+    layer = L.SiLU()
+    for train in (False, True):
+        y = layer.forward(x, train)
+        assert y.dtype == dtype and y.tobytes() == L.silu(x).tobytes()
+    gx = layer.backward(gy)
+    assert gx.dtype == dtype and gx.tobytes() == (gy * L.silu_grad(x)).tobytes()
+
+
+def test_silu_backward_needs_a_training_forward():
+    layer = L.SiLU()
+    x = RNG.normal(size=(1, 2, 2, 2))
+    layer.forward(x, train=False)
+    with pytest.raises(L.MissingForwardCacheError):
+        layer.backward(x)
+    layer.forward(x)
+    layer.backward(x)
+    with pytest.raises(L.MissingForwardCacheError):
+        layer.backward(x)
 
 
 def test_backward_without_forward_raises():
