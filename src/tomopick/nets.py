@@ -46,6 +46,8 @@ class NetConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if any(w < 1 for w in self.widths):
             raise ValueError("all stage widths must be >= 1")
+        if self.decoder_width < 1:
+            raise ValueError("decoder_width must be >= 1")
         need = 3 if self.variant == "A" else 4
         if len(self.widths) < need:
             raise ValueError(f"variant {self.variant} needs {need} stage widths")

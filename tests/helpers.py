@@ -1,10 +1,12 @@
 """Independent test oracles: brute-force implementations kept deliberately
 separate from the library code paths they verify."""
 
+import contextlib
 import itertools
 import math
 
 import numpy as np
+import pytest
 
 
 def fd_grad(f, x, h=1e-4):
@@ -108,6 +110,35 @@ def brute_conv3d(x, weight, dilation=1):
                                         acc += x[c, zz, yy, ww] * weight[o, c, kd, kh_, kw_]
                     out[o, z, y, xx] = acc
     return out
+
+
+def assert_same_bytes(got, want):
+    """Two lists of arrays are equal in dtype, shape and bytes."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+PER_TAP = 1 << 40
+
+
+@contextlib.contextmanager
+def conv_block(block):
+    """Run `Conv` forwards with `block` output columns per stacked product. A
+    block as wide as any grid (PER_TAP) selects no runs, so every forward
+    takes its per-tap loop, the reference for the stacked runs. The geometry
+    cache is cleared on the way in and out, so no geometry built under another
+    block outlives the context."""
+    from tomopick import layers
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(layers, "_BLOCK", block)
+        layers.conv_geometry.cache_clear()
+        try:
+            yield
+        finally:
+            layers.conv_geometry.cache_clear()
 
 
 def optimal_match_tp(preds, gts, tau):

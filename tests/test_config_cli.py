@@ -455,6 +455,9 @@ def test_bad_cli_override_exits_3(argv, capsys):
     pytest.param("tiling.z_window = 6", ("--variant", "A"), id="A z_window 6"),
     # Variant B has no depth-halving layer for the flag to replace.
     pytest.param("", ("--variant", "B", "--strided-depth-pool"), id="B strided-depth-pool"),
+    # A decoder needs at least one channel, in either variant.
+    *[pytest.param("", ("--variant", v, "--decoder-width", w), id=f"{v} decoder-width {w}")
+      for v in ("A", "B") for w in ("0", "-1")],
 ])
 @pytest.mark.parametrize("command", [
     ("train", "--data", "none", "--out", "none.wts"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_conv2d, brute_conv3d, fd_grad
+from helpers import PER_TAP, assert_same_bytes, brute_conv2d, brute_conv3d, conv_block, fd_grad
 from tomopick import layers as L
 
 RNG = np.random.default_rng(2024)
@@ -333,6 +333,105 @@ def test_conv_builds_its_geometry_once_per_input_shape():
         conv.backward(np.ones_like(conv.forward(RNG.normal(size=(2,) + dims))))
     info = L.conv_geometry.cache_info()
     assert (info.misses, info.hits) == (2, 6)
+
+
+# --- convolution: stacked runs on large stride-1 grids ------------------------
+
+# (cin, dims, dilation, stride) of 3x3x3 convs to 16 channels whose grids
+# select runs: variant B's fusion (80 channels in) and decoder (16) shapes; a
+# depth of 4 at dilation 4, where the outer planes' runs read only padding;
+# and a depth stride, whose runs read the two depth phases.
+STACKED_CONVS = [
+    *[(cin, (8, 32, 32), dl, (1, 1, 1)) for cin in (16, 80) for dl in (1, 2, 4)],
+    (16, (16, 64, 64), 1, (1, 1, 1)),
+    (80, (16, 64, 64), 1, (1, 1, 1)),
+    *[(cin, (4, 32, 32), 4, (1, 1, 1)) for cin in (16, 80)],
+    (16, (16, 32, 32), 1, (2, 1, 1)),
+]
+
+
+def zero_slab_input(cin, dims, dtype, seed=0):
+    """Normal noise with exact-zero slabs in depth and width."""
+    x = np.random.default_rng(seed).normal(size=(cin,) + dims).astype(dtype)
+    x[:, : dims[0] // 3] = 0.0
+    x[..., -dims[2] // 4 :] = 0.0
+    return x
+
+
+def conv_outputs(conv, x):
+    """Inference output, then training output, gx and the parameter grads."""
+    y_infer = conv.forward(x, train=False)
+    conv.zero_grads()
+    y = conv.forward(x)
+    gx = conv.backward(np.random.default_rng(5).normal(size=y.shape).astype(x.dtype))
+    return [y_infer, y, gx, conv.grads["weight"], conv.grads["bias"]]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cin, dims, dilation, stride", STACKED_CONVS)
+def test_stacked_runs_match_the_per_tap_loop(dtype, cin, dims, dilation, stride):
+    """The stacked forward (and the backward after it) has the bytes of the
+    per-tap loop."""
+    conv = L.Conv(cin, 16, (3, 3, 3), stride, dilation, rng64(), dtype)
+    conv.params["bias"][...] = RNG.normal(size=16)
+    x = zero_slab_input(cin, dims, dtype)
+    *_, runs = conv._geometry(dims)
+    assert [len(index) for index, *_ in runs] == [9, 9, 9]
+    got = conv_outputs(conv, x)
+    with conv_block(PER_TAP):
+        assert conv._geometry(dims)[-1] == ()
+        assert_same_bytes(got, conv_outputs(conv, x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.tuples(*[st.sampled_from((1, 3, 5))] * 3),
+    stride=st.tuples(*[st.sampled_from((1, 2))] * 3),
+    dilation=st.sampled_from((1, 2)),
+    dims=st.tuples(*[st.integers(1, 9)] * 3),
+    cin=st.integers(2, 5),
+    cout=st.integers(2, 5),
+    block=st.sampled_from((16, 48, 200)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_runs_match_the_per_tap_loop_at_any_geometry(kernel, stride, dilation, dims, cin, cout,
+                                                              block, seed):
+    """Narrow blocks make small grids stack their runs: any kernel, stride,
+    dilation and block edge gives the per-tap loop's bytes."""
+    rng = np.random.default_rng(seed)
+    conv = L.Conv(cin, cout, kernel, stride, dilation, rng, np.float64)
+    x = rng.normal(size=(cin,) + dims)
+    x[:, : dims[0] // 2] = 0.0
+    with conv_block(PER_TAP):
+        want = conv.forward(x, train=False)
+    with conv_block(block):
+        got = conv.forward(x, train=False)
+    assert_same_bytes([got], [want])
+
+
+@pytest.mark.parametrize("cin, cout", [(1, 16), (16, 1)])
+def test_one_channel_convs_keep_the_per_tap_loop(cin, cout):
+    """With one input channel the product is a broadcast multiply, with one
+    output channel a BLAS gemv; a stacked gemm rounds neither the same way,
+    so these convs select no runs however large the grid."""
+    assert cube_conv(cin, cout)._geometry((8, 32, 32))[-1] == ()
+
+
+def test_stacked_runs_skip_planes_that_read_only_padding():
+    """Depth 4 at dilation 4: the first and last kernel planes read padding
+    for every output plane, so their runs cover no column."""
+    *_, runs = cube_conv(16, 16, dilation=4)._geometry((4, 32, 32))
+    assert [c1 - c0 for *_, (c0, c1) in runs] == [0, 4 * 40 * 40, 0]
+
+
+def test_stacked_runs_match_brute_force():
+    """A grid just over one block, odd channel counts, dilation 2."""
+    conv = L.Conv(3, 2, (3, 3, 3), dilation=2, rng=rng64(), dtype=np.float64)
+    conv.params["bias"][...] = RNG.normal(size=2)
+    x = zero_slab_input(3, (5, 30, 30), np.float64)
+    assert conv._geometry(x.shape[1:])[-1]
+    oracle = brute_conv3d(x, conv.params["weight"], 2) + conv.params["bias"][:, None, None, None]
+    np.testing.assert_allclose(conv.forward(x), oracle, atol=1e-10)
 
 
 def test_conv_rejects_even_kernel_and_channel_mismatch():

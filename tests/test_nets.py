@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import PER_TAP, assert_same_bytes, conv_block
 from tomopick import layers as L
 from tomopick import nets
 
@@ -105,6 +106,61 @@ def test_inference_forward_keeps_no_state(make):
     with pytest.raises(L.MissingForwardCacheError):
         net.backward(np.ones_like(y))
     assert net.forward(x).tobytes() == y.tobytes()
+
+
+# The benchmark's windows: infer_b_ensemble's variant B (16x64x64, 6 classes)
+# and toy_chain's variant A (16x32x32).
+B_WINDOW = nets.NetConfig(variant="B", in_depth=16, window_hw=64, class_count=6,
+                          widths=(8, 16, 32, 32), decoder_width=16)
+A_WINDOW = nets.NetConfig(variant="A", in_depth=16, window_hw=32, widths=(8, 16, 32, 32))
+
+
+def window_input(cfg):
+    x = np.random.default_rng(41).normal(size=(cfg.in_depth, cfg.window_hw, cfg.window_hw))
+    x[: cfg.in_depth // 4] = 0.0  # an exact-zero slab
+    return x.astype(np.float32)
+
+
+def named_convs(layer, prefix=""):
+    for name, sub in layer._layers.items():
+        if isinstance(sub, L.Conv):
+            yield prefix + name, sub
+        yield from named_convs(sub, f"{prefix}{name}.")
+
+
+def test_b_window_stacked_runs_match_the_per_tap_loop():
+    """At the B window, the inference output, the training output, gx and
+    every parameter gradient have the bytes of the per-tap loop."""
+    net = nets.build_net(B_WINDOW)
+    x = window_input(B_WINDOW)
+
+    def outputs():
+        y_infer = net.forward(x, train=False)
+        net.zero_grads()
+        y = net.forward(x)
+        gx = net.backward(np.random.default_rng(42).normal(size=y.shape).astype(np.float32))
+        return [y_infer, y, gx, *(g for _, g in sorted(net.named_grads().items()))]
+
+    got = outputs()
+    with conv_block(PER_TAP):
+        assert_same_bytes(got, outputs())
+
+
+@pytest.mark.parametrize("cfg, stacked", [
+    (B_WINDOW, {"fusion.branch0", "fusion.branch1", "fusion.branch2",
+                "dec0.conv", "dec1.conv", "dec2.conv"}),
+    (A_WINDOW, set()),
+], ids=["B", "A"])
+def test_convs_that_stack_runs_at_the_benchmark_windows(cfg, stacked):
+    """Read from each conv's cached geometry after a training forward, which
+    keeps its input shape: exactly the 3x3x3 convs of the B window stack runs
+    of more than one tap (a kernel plane), and no conv of the A window does."""
+    net = nets.build_net(cfg)
+    net.forward(window_input(cfg))
+    taps = {name: [len(run[0]) for run in conv._geometry(conv._cache[1][1:])[-1]]
+            for name, conv in named_convs(net)}
+    assert {name for name, t in taps.items() if t} == stacked
+    assert all(t == [9, 9, 9] for name, t in taps.items() if name in stacked)
 
 
 def test_zero_upstream_grad_gives_zero_param_grads():
