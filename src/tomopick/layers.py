@@ -15,8 +15,9 @@ dense (dilated) 3D conv, on a flat phase layout of the padded input for any
 stride. Its backward runs one matrix product per kernel tap, and so does its
 forward on small grids; on large grids the forward runs one product per run
 of taps that share an input slice (a kernel plane, for stride 1) and block of
-output columns, with the per-tap loop's bytes (see `Conv`). The rest are depth
-pooling, pixel shuffle, nearest upsampling, SiLU, scSE attention and the
+output columns, with the per-tap loop's bytes (see `Conv`). A stride-1 `Conv`
+can also fold in a nearest upsample and run on the low-res grid. The rest are
+depth pooling, pixel shuffle, nearest upsampling, SiLU, scSE attention and the
 multi-scale fusion block.
 """
 
@@ -97,7 +98,8 @@ class Layer:
         raise NotImplementedError
 
 
-# Output columns per stacked product (`Conv` gives the sweep that chose it).
+# Output columns per stacked product. Sweep, variant-B 16x64x64 window forward
+# (medians of 2-5): 2048 180 ms, 4096 133, 8192 138, 16384 150, unblocked 186.
 _BLOCK = 4096
 # Stacked products are a multiple of this wide, so none ends in a partial BLAS
 # column tile: OpenBLAS's dgemm rounds those differently from full tiles.
@@ -105,12 +107,13 @@ _TILE = 16
 
 
 @functools.lru_cache(maxsize=256)
-def conv_geometry(cin, cout, kernel, stride, pad, dilation, dims):
+def conv_geometry(cin, cout, kernel, stride, pad, dilation, dims, factors):
     """A `Conv`'s geometry for input extents `dims`: output extents, output grid
     (out_d, lh, lw) and its size, the phase view (cin, sd, sh, sw, ld, lh, lw)
     of the flat row's head, the row length, each tap's weight index and offset,
     each phase's view index with the input slice it holds, and the runs that
-    the forward stacks, empty where `Conv` selects the per-tap loop.
+    the forward stacks, empty where `Conv` selects the per-tap loop; with
+    upsampling `factors`, each output phase's tap offsets instead (see `Conv`).
 
     A run is a maximal stretch of consecutive taps that read the same phase
     grid at the same depth shift. It holds its taps' weight indices, the first
@@ -139,12 +142,35 @@ def conv_geometry(cin, cout, kernel, stride, pad, dilation, dims):
         z0, z1 = max(z.start - qd, 0), min(z.stop - qd, out[0])
         cols = (z0 * lh * lw, max(z0, z1) * lh * lw)
         runs.append((index, offs[0], tuple(o - offs[0] for o in offs), cols))
-    if cin == 1 or cout == 1 or n <= _BLOCK or all(len(run[0]) == 1 for run in runs):
+    if factors != (1, 1, 1):
+        t = np.indices(kernel).reshape(3, -1).T * dilation
+        runs = [tuple(np.ravel_multi_index(((phase + t - pad) // factors + pad).T, (ld, lh, lw)).tolist())
+                for phase in itertools.product(*map(range, factors))]
+    elif cin == 1 or cout == 1 or n <= _BLOCK or all(len(run[0]) == 1 for run in runs):
         runs = []
-    tail = _TILE - 1 if runs else 0  # zeros for a stacked product's last tile
+    tail = _TILE - 1 if runs else 0  # zeros for a stacked or folded product's last tile
     size = max(ld * lh * lw * math.prod(stride), max(off for _, off in taps) + n + tail)
     return (out, (out[0], lh, lw), n, (cin,) + stride + (ld, lh, lw), size, tuple(taps), phases,
             tuple(runs))
+
+
+def _folded(wgt, flat, offs, grid, out, factors):
+    """An upsampling conv's output without bias: each output phase's tap sum
+    over `grid`, cropped to `out`, in that phase's strided slots (see `Conv`)."""
+    (cout, cin, _, kh, kw), n = wgt.shape, math.prod(grid)
+    prod = np.empty((kh * kw, cout, flat.shape[1] // _TILE * _TILE), dtype=flat.dtype)
+    acc = np.zeros((len(offs), cout, n), dtype=flat.dtype)
+    for z, plane in enumerate(wgt.transpose(2, 3, 4, 0, 1)):  # (kh, kw, cout, cin) per kernel plane
+        np.matmul(plane.reshape(-1, cin), flat[:, : prod.shape[2]], out=prod.reshape(kh * kw * cout, -1))
+        for a, phase in zip(acc, offs):
+            for rows, off in zip(prod, phase[z * kh * kw : (z + 1) * kh * kw]):
+                a += rows[:, off : off + n]
+    del prod  # lets the output reuse this buffer's memory
+    y = np.empty((cout,) + tuple(m * f for m, f in zip(out, factors)), dtype=flat.dtype)
+    for a, phase in zip(acc.reshape((-1, cout) + grid), itertools.product(*map(range, factors))):
+        slots = (slice(None),) + tuple(slice(p, None, f) for p, f in zip(phase, factors))
+        y[slots] = a[..., : out[1], : out[2]]
+    return y
 
 
 def _stacked(wgt, flat, n, runs):
@@ -204,17 +230,24 @@ class Conv(Layer):
     than one tap, and more than one input and output channel (one input
     channel is a broadcast multiply, one output channel a BLAS gemv). Small
     grids, such as all of variant A's convs at a 16x32x32 window, keep the
-    per-tap loop. Block sweep, variant-B 16x64x64 window forward (medians
-    of 2-5 sweeps): 2048 columns 180 ms, 4096 133 ms, 8192 138 ms, 16384
-    150 ms, unblocked 186 ms.
+    per-tap loop.
+
+    With `upsample` factors f (stride 1) the conv reads upsample_nearest(x, f)
+    without building it (sub-pixel convolution, Shi et al., CVPR 2016): tap t
+    of output f * q + phase reads x at q + floor((phase + t * dilation - pad)
+    / f) per axis, so each output phase is a conv over x's own padded row
+    (`_folded`), with the bytes of upsample_nearest then the conv for more
+    than one output channel; the backward is that chain's.
     """
 
-    def __init__(self, cin, cout, kernel, stride=(1, 1, 1), dilation=1, rng=None, dtype=np.float32):
+    def __init__(self, cin, cout, kernel, stride=(1, 1, 1), dilation=1, rng=None, dtype=np.float32, upsample=(1, 1, 1)):
         super().__init__()
         if any(k % 2 == 0 for k in kernel):
             raise ValueError("kernel sizes must be odd")
         self.cin, self.cout, self.dilation = cin, cout, dilation
-        self.kernel, self.stride = tuple(kernel), tuple(stride)
+        self.kernel, self.stride, self.upsample = tuple(kernel), tuple(stride), tuple(upsample)
+        if self.upsample != (1, 1, 1) and self.stride != (1, 1, 1):
+            raise ValueError("an upsampling conv has stride 1")
         self.pad = tuple(dilation * (k // 2) for k in self.kernel)
         cubic = len(set(self.kernel)) == 1
         stored = self.kernel if cubic else tuple(k for k in self.kernel if k > 1)
@@ -223,19 +256,26 @@ class Conv(Layer):
         self.params["bias"] = np.zeros(cout, dtype=dtype)
         self.zero_grads()
 
-    def _geometry(self, dims):
-        return conv_geometry(self.cin, self.cout, self.kernel, self.stride, self.pad, self.dilation, dims)
+    def _geometry(self, dims, factors=(1, 1, 1)):
+        return conv_geometry(self.cin, self.cout, self.kernel, self.stride, self.pad, self.dilation, dims, factors)
 
-    def forward(self, x, train=True):
-        if x.shape[0] != self.cin:
-            raise ValueError(f"expected {self.cin} channels, got {x.shape[0]}")
-        out, grid, n, view, size, taps, phases, runs = self._geometry(x.shape[1:])
+    def _row(self, x, factors=(1, 1, 1)):
+        """x's flat phase row (see above) and the geometry, folding `factors`."""
+        geometry = _, _, _, view, size, _, phases, _ = self._geometry(x.shape[1:], factors)
         flat = np.zeros((self.cin, size), dtype=x.dtype)
         grids = flat[:, : math.prod(view[1:])].reshape(view)
         for phase, src in phases:
             grids[phase] = x[src]
+        return flat, geometry
+
+    def forward(self, x, train=True):
+        if x.shape[0] != self.cin:
+            raise ValueError(f"expected {self.cin} channels, got {x.shape[0]}")
+        flat, (out, grid, n, _, _, taps, _, runs) = self._row(x, self.upsample)
         wgt = self.params["weight"].reshape((self.cout, self.cin) + self.kernel)
-        if runs:
+        if self.upsample != (1, 1, 1):
+            y = _folded(wgt, flat, runs, grid, out, self.upsample)
+        elif runs:
             acc = _stacked(wgt, flat, n, runs)
         else:
             acc = np.empty((self.cout, n), dtype=x.dtype)
@@ -248,14 +288,18 @@ class Conv(Layer):
                 if i:
                     acc += tmp
             del tmp  # lets the output below reuse this buffer's memory
-        y = np.ascontiguousarray(acc.reshape((self.cout,) + grid)[:, :, : out[1], : out[2]])
+        if self.upsample == (1, 1, 1):
+            y = np.ascontiguousarray(acc.reshape((self.cout,) + grid)[:, :, : out[1], : out[2]])
         y += self.params["bias"][:, None, None, None]
         if train:
-            self._cache = (flat, x.shape)
+            self._cache = (flat, x.shape) if self.upsample == (1, 1, 1) else (None, x)
         return y
 
     def backward(self, gy):
         flat, xshape = self._take_cache()
+        if flat is None:  # an upsampling conv's low-res input: the two-layer chain's backward
+            x = upsample_nearest(xshape, self.upsample)
+            flat, xshape = self._row(x)[0], x.shape
         out, grid, n, view, _, taps, phases, _ = self._geometry(xshape[1:])
         g = np.zeros((self.cout, n), dtype=flat.dtype)
         g.reshape((self.cout,) + grid)[:, :, : out[1], : out[2]] = gy
@@ -272,7 +316,7 @@ class Conv(Layer):
         grids = gflat[:, : math.prod(view[1:])].reshape(view)
         for phase, src in phases:
             gx[src] = grids[phase]
-        return gx
+        return gx if self.upsample == (1, 1, 1) else upsample_nearest_backward(gx, self.upsample)
 
 
 class DepthPool(Layer):

@@ -162,10 +162,10 @@ class VariantANet(ToyNet):
 
 
 class VariantBNet(ToyNet):
-    # Per-block nearest-upsample factors; the single (2,2,2) step restores the
-    # fusion output (1/2 depth, 1/2 HW) to the window size, the other two
-    # blocks refine at full resolution.
-    UP_FACTORS = ((2, 2, 2), (1, 1, 1), (1, 1, 1))
+    # Each decoder conv's nearest-upsample factor, folded into it (`layers.Conv`): dec1.conv
+    # reads the fusion grid (1/2 depth, 1/2 HW) and writes the window size. The dec{i}.up
+    # slots stay as identity upsamples because the benchmark's layer catalogue names them.
+    UP_FACTORS = ((1, 1, 1), (2, 2, 2), (1, 1, 1))
 
     def __init__(self, config: NetConfig):
         super().__init__(config)
@@ -189,10 +189,10 @@ class VariantBNet(ToyNet):
         decoder = []
         for i, f in enumerate(self.UP_FACTORS):
             decoder += [
-                reg(f"dec{i}.conv", L.Conv(wd, wd, CUBE, rng=rng, dtype=dt)),
+                reg(f"dec{i}.conv", L.Conv(wd, wd, CUBE, rng=rng, dtype=dt, upsample=f)),
                 reg(f"dec{i}.act", L.SiLU()),
                 reg(f"dec{i}.scse", L.SCSEBlock(wd, 2, rng, dt)),
-                reg(f"dec{i}.up", L.UpsampleNearest(f)),
+                reg(f"dec{i}.up", L.UpsampleNearest((1, 1, 1))),
             ]
         self.decoder = (*decoder, reg("head", L.Conv(wd, c, POINT, rng=rng, dtype=dt)))
 

@@ -141,6 +141,23 @@ def conv_block(block):
             layers.conv_geometry.cache_clear()
 
 
+@contextlib.contextmanager
+def materialized_upsamples(net):
+    """Run `net` as the chain of a nearest upsample then a plain conv: each
+    decoder conv that folds an upsample hands its factors back to the identity
+    upsample slot before it, and takes them again on the way out."""
+    moved = [(up, conv, conv.upsample) for up, conv in zip(net.decoder, net.decoder[1:])
+             if getattr(conv, "upsample", (1, 1, 1)) != (1, 1, 1)]
+    assert moved and all(up.factors == (1, 1, 1) for up, _, _ in moved)
+    for up, conv, factors in moved:
+        up.factors, conv.upsample = factors, (1, 1, 1)
+    try:
+        yield
+    finally:
+        for up, conv, factors in moved:
+            up.factors, conv.upsample = (1, 1, 1), factors
+
+
 def optimal_match_tp(preds, gts, tau):
     """Maximum-cardinality, minimum-total-distance matching by exhaustive
     recursion; returns the optimal true-positive count."""

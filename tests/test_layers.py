@@ -434,6 +434,86 @@ def test_stacked_runs_match_brute_force():
     np.testing.assert_allclose(conv.forward(x), oracle, atol=1e-10)
 
 
+# --- convolution: a nearest upsample folded into a stride-1 conv ---------------
+
+FOLD_FACTORS = [(2, 2, 2), (1, 2, 2), (2, 1, 1)]
+# (cin, cout, low-res dims, factors, dilation): odd channel counts and extents
+# and a width of 1 at every factor and dilation, then dec1.conv's grid, whose
+# reference conv over the upsampled grid stacks its runs.
+FOLDED_CONVS = [
+    *[(cin, cout, dims, factors, dilation)
+      for cin, cout, dims in [(3, 2, (3, 5, 7)), (16, 16, (4, 8, 8)), (2, 3, (2, 3, 1))]
+      for factors in FOLD_FACTORS for dilation in (1, 2)],
+    (16, 16, (8, 32, 32), (2, 2, 2), 1),
+]
+
+
+def folded_conv(cin, cout, dilation, factors, dtype, kernel=(3, 3, 3)):
+    conv = L.Conv(cin, cout, kernel, dilation=dilation, rng=rng64(), dtype=dtype, upsample=factors)
+    conv.params["bias"][...] = np.random.default_rng(3).normal(size=cout)
+    return conv
+
+
+def chain_outputs(conv, x):
+    """`conv_outputs` of upsample_nearest then the same conv without the fold."""
+    plain = L.Conv(conv.cin, conv.cout, conv.kernel, dilation=conv.dilation, rng=rng64(), dtype=x.dtype)
+    for name, p in plain.params.items():
+        p[...] = conv.params[name]
+    up = L.UpsampleNearest(conv.upsample)
+    y_infer = plain.forward(L.upsample_nearest(x, conv.upsample), train=False)
+    plain.zero_grads()
+    y = plain.forward(up.forward(x))
+    gx = up.backward(plain.backward(np.random.default_rng(5).normal(size=y.shape).astype(x.dtype)))
+    return [y_infer, y, gx, plain.grads["weight"], plain.grads["bias"]]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cin, cout, dims, factors, dilation", FOLDED_CONVS)
+def test_folded_upsample_matches_the_materialized_chain(dtype, cin, cout, dims, factors, dilation):
+    """The inference output, the training output, gx and the parameter grads
+    have the bytes of upsample_nearest then a plain conv, on an input with
+    exact-zero slabs."""
+    conv = folded_conv(cin, cout, dilation, factors, dtype)
+    x = zero_slab_input(cin, dims, dtype)
+    got = conv_outputs(conv, x)
+    assert got[0].shape == (cout,) + tuple(m * f for m, f in zip(dims, factors))
+    assert_same_bytes(got, chain_outputs(conv, x))
+
+
+@pytest.mark.parametrize("factors", FOLD_FACTORS)
+@pytest.mark.parametrize("dilation", [1, 2])
+def test_folded_upsample_gradients(factors, dilation):
+    conv = folded_conv(2, 3, dilation, factors, np.float64)
+    layer_fd_check(conv, RNG.normal(size=(2, 2, 3, 3)))
+
+
+@pytest.mark.parametrize("kernel", [(1, 3, 3), (3, 1, 1), (1, 1, 1), (5, 3, 1)])
+def test_folded_upsample_with_anisotropic_kernels_matches_brute_force(kernel):
+    """Other kernel shapes and a factor of 3 against the dense oracle on the
+    materialized upsample."""
+    conv = folded_conv(2, 3, 1, (3, 2, 1), np.float64, kernel)
+    x = RNG.normal(size=(2, 3, 4, 5))
+    up = L.upsample_nearest(x, (3, 2, 1))
+    oracle = brute_conv3d(up, embedded_cube(conv)) + conv.params["bias"][:, None, None, None]
+    np.testing.assert_allclose(conv.forward(x, train=False), oracle, atol=1e-10)
+
+
+def test_folded_inference_forward_writes_nothing():
+    conv = folded_conv(3, 2, 1, (2, 2, 2), np.float32)
+    x = zero_slab_input(3, (3, 5, 7), np.float32)
+    before = dict(vars(conv))
+    conv.forward(x, train=False)
+    assert vars(conv).keys() == before.keys() and all(vars(conv)[k] is v for k, v in before.items())
+    assert conv._cache is None
+    with pytest.raises(L.MissingForwardCacheError):
+        conv.backward(np.zeros((2, 6, 10, 14), dtype=np.float32))
+
+
+def test_folded_upsample_needs_stride_1():
+    with pytest.raises(ValueError, match="stride 1"):
+        L.Conv(2, 2, (3, 3, 3), (1, 2, 2), rng=rng64(), upsample=(2, 2, 2))
+
+
 def test_conv_rejects_even_kernel_and_channel_mismatch():
     with pytest.raises(ValueError):
         L.Conv(1, 1, (2, 3, 3), rng=rng64())

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import PER_TAP, assert_same_bytes, conv_block
+from helpers import PER_TAP, assert_same_bytes, conv_block, materialized_upsamples
 from tomopick import layers as L
 from tomopick import nets
 
@@ -130,7 +130,8 @@ def named_convs(layer, prefix=""):
 
 def test_b_window_stacked_runs_match_the_per_tap_loop():
     """At the B window, the inference output, the training output, gx and
-    every parameter gradient have the bytes of the per-tap loop."""
+    every parameter gradient have the bytes of the per-tap loop, with dec1's
+    (2, 2, 2) nearest upsample materialized before a plain dec1.conv."""
     net = nets.build_net(B_WINDOW)
     x = window_input(B_WINDOW)
 
@@ -142,23 +143,30 @@ def test_b_window_stacked_runs_match_the_per_tap_loop():
         return [y_infer, y, gx, *(g for _, g in sorted(net.named_grads().items()))]
 
     got = outputs()
-    with conv_block(PER_TAP):
+    with conv_block(PER_TAP), materialized_upsamples(net):
         assert_same_bytes(got, outputs())
 
 
-@pytest.mark.parametrize("cfg, stacked", [
-    (B_WINDOW, {"fusion.branch0", "fusion.branch1", "fusion.branch2",
-                "dec0.conv", "dec1.conv", "dec2.conv"}),
-    (A_WINDOW, set()),
+@pytest.mark.parametrize("cfg, stacked, folded", [
+    (B_WINDOW, {"fusion.branch0", "fusion.branch1", "fusion.branch2", "dec0.conv", "dec2.conv"},
+     {"dec1.conv": (16, 8, 32, 32)}),
+    (A_WINDOW, set(), {}),
 ], ids=["B", "A"])
-def test_convs_that_stack_runs_at_the_benchmark_windows(cfg, stacked):
-    """Read from each conv's cached geometry after a training forward, which
-    keeps its input shape: exactly the 3x3x3 convs of the B window stack runs
-    of more than one tap (a kernel plane), and no conv of the A window does."""
+def test_convs_that_stack_runs_at_the_benchmark_windows(cfg, stacked, folded):
+    """Read from each conv's cache after a training forward. dec1.conv folds
+    the (2, 2, 2) upsample: it caches only its input, on the fusion grid, and
+    its geometry holds 27 tap offsets for each of the 8 output phases. Of the
+    other convs, which cache their input shape, exactly the 3x3x3 convs of the
+    B window stack runs of more than one tap (a kernel plane), and no conv of
+    the A window does."""
     net = nets.build_net(cfg)
     net.forward(window_input(cfg))
+    convs = dict(named_convs(net))
+    assert {name: conv._cache[1].shape for name, conv in convs.items() if conv._cache[0] is None} == folded
+    for name, shape in folded.items():
+        assert [len(offs) for offs in convs[name]._geometry(shape[1:], (2, 2, 2))[-1]] == [27] * 8
     taps = {name: [len(run[0]) for run in conv._geometry(conv._cache[1][1:])[-1]]
-            for name, conv in named_convs(net)}
+            for name, conv in convs.items() if name not in folded}
     assert {name for name, t in taps.items() if t} == stacked
     assert all(t == [9, 9, 9] for name, t in taps.items() if name in stacked)
 

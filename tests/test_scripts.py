@@ -1,6 +1,7 @@
 """Smoke tests of the measurement scripts."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -23,3 +24,30 @@ def test_paper_scale_memory_runs_at_a_tiny_size(tmp_path):
     assert lines[2] == {"heatmap_sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
     assert read_heatmap(path).data.shape == (6, 12, 20, 22)
     assert (tmp_path / "heatmap.picks").read_text().startswith("class,x,y,z,score")
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(wall_s, fbeta):
+    metrics = {"wall_s": {"value": wall_s, "unit": "s"}, "fbeta": {"value": fbeta, "unit": "score"}}
+    return json.dumps({"correct": True, "attempted": 9, "failed": 0, "metrics": metrics})
+
+
+def test_bench_pairs_summary_counts_wins_and_medians():
+    """Canned result lines, no benchmark run: B is faster in 2 of 4 pairs,
+    ties one and loses one; fbeta is higher-is-better and ties in every pair."""
+    bench = load_script("bench_pairs")
+    walls = [(2.0, 1.5), (2.2, 1.6), (1.9, 1.9), (2.4, 2.5)]
+    pairs = [(bench.parse_result(result_line(a, 0.7)), bench.parse_result(result_line(b, 0.7)))
+             for a, b in walls]
+    assert pairs[0][0] == {"correct": True, "wall_s": 2.0, "fbeta": 0.7}
+    wall, fbeta = bench.summarize(pairs, {"wall_s": "lower", "fbeta": "higher"})
+    assert wall.startswith("wall_s (lower is better): A 2.1 [1.975, 2.25]  B 1.75 [1.575, 2.05]")
+    assert "change -16.7%" in wall and wall.endswith("B better in 2 of 4 pairs, 1 ties")
+    assert fbeta.endswith("change +0.0%  B better in 0 of 4 pairs, 4 ties")
+    assert bench.quartiles([3.0]) == (3.0, 3.0, 3.0)
