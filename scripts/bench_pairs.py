@@ -15,7 +15,8 @@ benchmark; it changes no file of either.
 One line per run goes to stdout, then one summary line per end-to-end metric:
 each side's median and quartiles, the change of the medians, and the pairs in
 which B is better (ties count for neither side). Which direction is better
-comes from BENCHMARK.json in DIR_A.
+comes from BENCHMARK.json in DIR_A. A last line gives each side's `src/` line
+count, `src_lines A → B`, from the runs' environment lines.
 """
 
 import argparse
@@ -29,18 +30,22 @@ SEED0 = 700  # pair i's seed is SEED0 + i
 
 
 def run_metrics(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in `checkout`: {metric: value}, plus "correct"."""
+    """One untraced benchmark run in `checkout`, as `parse_run` reads it."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True,
                          timeout=10 * seconds + 600).stdout
-    return parse_result(out.strip().splitlines()[-1])
+    return parse_run(out)
 
 
-def parse_result(line: str) -> dict:
-    """The result line of `perfbench/run.py` as {metric: value}, plus "correct"."""
-    result = json.loads(line)
-    return {"correct": result["correct"], **{k: m["value"] for k, m in result["metrics"].items()}}
+def parse_run(stdout: str) -> dict:
+    """The stdout of `perfbench/run.py` as {metric: value}, plus "correct" from
+    its result line (the last) and "src_lines" from its environment line (the
+    first)."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    return {"correct": result["correct"], "src_lines": json.loads(lines[0])["env"]["src_lines"],
+            **{k: m["value"] for k, m in result["metrics"].items()}}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -51,7 +56,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
-    """One line per metric in `better` ("lower" or "higher") over (A, B) runs."""
+    """One line per metric in `better` ("lower" or "higher") over (A, B) runs,
+    then the first pair's `src/` line counts."""
     lines = []
     for name, direction in better.items():
         a, b = ([run[name] for run in side] for side in zip(*pairs))
@@ -63,7 +69,8 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
         lines.append(f"{name} ({direction} is better): A {am:.4g} [{a1:.4g}, {a3:.4g}]  "
                      f"B {bm:.4g} [{b1:.4g}, {b3:.4g}]  change {change}  "
                      f"B better in {wins} of {len(pairs)} pairs, {ties} ties")
-    return lines
+    a, b = pairs[0]
+    return lines + [f"src_lines {a['src_lines']} → {b['src_lines']}"]
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,8 @@ stride. Its backward runs one matrix product per kernel tap, and so does its
 forward on small grids; on large grids the forward runs one product per run
 of taps that share an input slice (a kernel plane, for stride 1) and block of
 output columns, with the per-tap loop's bytes (see `Conv`). A stride-1 `Conv`
-can also fold in a nearest upsample and run on the low-res grid. The rest are
+can also fold in a nearest upsample: its runs then span whole rows of the
+low-res input, with one shift per tap for each output phase. The rest are
 depth pooling, pixel shuffle, nearest upsampling, SiLU, scSE attention and the
 multi-scale fusion block.
 """
@@ -112,13 +113,14 @@ def conv_geometry(cin, cout, kernel, stride, pad, dilation, dims, factors):
     (out_d, lh, lw) and its size, the phase view (cin, sd, sh, sw, ld, lh, lw)
     of the flat row's head, the row length, each tap's weight index and offset,
     each phase's view index with the input slice it holds, and the runs that
-    the forward stacks, empty where `Conv` selects the per-tap loop; with
-    upsampling `factors`, each output phase's tap offsets instead (see `Conv`).
+    the forward stacks, empty where `Conv` selects the per-tap loop.
 
     A run is a maximal stretch of consecutive taps that read the same phase
-    grid at the same depth shift. It holds its taps' weight indices, the first
-    tap's offset, each tap's shift from it, and the flat output columns whose
-    planes read input; the other planes read only zero padding."""
+    grid at the same depth shift in every output phase (one phase, unless the
+    conv folds upsampling `factors`; see `Conv`). It holds its taps' weight
+    indices, its least offset, each output phase's tap shifts from it, and the
+    flat output columns whose planes read input in some output phase; the
+    other planes read only zero padding."""
     out = tuple(-(-n // s) for n, s in zip(dims, stride))
     ld, lh, lw = (-(-(n + 2 * p) // s) for n, p, s in zip(dims, pad, stride))
     _, sh, sw = stride
@@ -128,70 +130,51 @@ def conv_geometry(cin, cout, kernel, stride, pad, dilation, dims, factors):
         axes.append([(p, slice(q0, q1), slice(q0 * s + p - p0, n, s)) for p, q0, q1 in spans])
     phases = tuple(((slice(None), pd, ph, pw, qd, qh, qw), (slice(None), xd, xh, xw))
                    for (pd, qd, xd), (ph, qh, xh), (pw, qw, xw) in itertools.product(*axes))
-    taps, keys = [], []
-    for tap in itertools.product(*(range(k) for k in kernel)):
-        (qd, pd), (qh, ph), (qw, pw) = (divmod(t * dilation, s) for t, s in zip(tap, stride))
-        off = ((pd * sh + ph) * sw + pw) * ld * lh * lw + (qd * lh + qh) * lw + qw
-        taps.append(((slice(None), slice(None)) + tap, off))
-        keys.append((pd, ph, pw, qd))
+    # Each tap's (q, p) per axis for each output phase o, as (axis, output phase, tap) arrays.
+    pad3, f3, s3 = (np.reshape(v, (3, 1, 1)) for v in (pad, factors, stride))
+    o, t = np.indices(factors).reshape(3, -1, 1), np.indices(kernel).reshape(3, 1, -1)
+    q, p = np.divmod((o + t * dilation - pad3) // f3 + pad3, s3)
+    offs = np.ravel_multi_index((*p, *q), stride + (ld, lh, lw)).T.tolist()  # [tap][output phase]
+    keys = np.stack((*p, q[0]), -1).transpose(1, 0, 2).tolist()  # (pd, ph, pw, qd) likewise
+    index = [(slice(None), slice(None)) + tap for tap in itertools.product(*map(range, kernel))]
     n = out[0] * lh * lw
     runs = []
-    for (pd, *_, qd), run in itertools.groupby(zip(keys, taps), key=lambda kt: kt[0]):
-        index, offs = zip(*(tap for _, tap in run))  # in a run, offsets rise with qh and qw
-        z = axes[0][pd][1]  # the phase grid's planes that hold input
-        z0, z1 = max(z.start - qd, 0), min(z.stop - qd, out[0])
-        cols = (z0 * lh * lw, max(z0, z1) * lh * lw)
-        runs.append((index, offs[0], tuple(o - offs[0] for o in offs), cols))
-    if factors != (1, 1, 1):
-        t = np.indices(kernel).reshape(3, -1).T * dilation
-        runs = [tuple(np.ravel_multi_index(((phase + t - pad) // factors + pad).T, (ld, lh, lw)).tolist())
-                for phase in itertools.product(*map(range, factors))]
-    elif cin == 1 or cout == 1 or n <= _BLOCK or all(len(run[0]) == 1 for run in runs):
+    for key, run in itertools.groupby(zip(keys, index, offs), key=lambda r: r[0]):
+        _, run_index, run_offs = zip(*run)
+        base = min(map(min, run_offs))
+        z = [(max(axes[0][pd][1].start - qd, 0), min(axes[0][pd][1].stop - qd, out[0])) for pd, *_, qd in key]
+        z0, z1 = min(z0 for z0, _ in z), max(z1 for _, z1 in z)  # the planes that hold input
+        runs.append((run_index, base, tuple(tuple(off - base for off in shifts) for shifts in zip(*run_offs)),
+                     (z0 * lh * lw, max(z0, z1) * lh * lw)))
+    if factors == (1, 1, 1) and (cin == 1 or cout == 1 or n <= _BLOCK or all(len(run[0]) == 1 for run in runs)):
         runs = []
-    tail = _TILE - 1 if runs else 0  # zeros for a stacked or folded product's last tile
-    size = max(ld * lh * lw * math.prod(stride), max(off for _, off in taps) + n + tail)
-    return (out, (out[0], lh, lw), n, (cin,) + stride + (ld, lh, lw), size, tuple(taps), phases,
-            tuple(runs))
+    tail = _TILE - 1 if runs else 0  # zeros for a stacked product's last tile
+    size = max(ld * lh * lw * math.prod(stride), max(map(max, offs)) + n + tail)
+    return (out, (out[0], lh, lw), n, (cin,) + stride + (ld, lh, lw), size,
+            tuple(zip(index, (off[0] for off in offs))), phases, tuple(runs))
 
 
-def _folded(wgt, flat, offs, grid, out, factors):
-    """An upsampling conv's output without bias: each output phase's tap sum
-    over `grid`, cropped to `out`, in that phase's strided slots (see `Conv`)."""
-    (cout, cin, _, kh, kw), n = wgt.shape, math.prod(grid)
-    prod = np.empty((kh * kw, cout, flat.shape[1] // _TILE * _TILE), dtype=flat.dtype)
-    acc = np.zeros((len(offs), cout, n), dtype=flat.dtype)
-    for z, plane in enumerate(wgt.transpose(2, 3, 4, 0, 1)):  # (kh, kw, cout, cin) per kernel plane
-        np.matmul(plane.reshape(-1, cin), flat[:, : prod.shape[2]], out=prod.reshape(kh * kw * cout, -1))
-        for a, phase in zip(acc, offs):
-            for rows, off in zip(prod, phase[z * kh * kw : (z + 1) * kh * kw]):
-                a += rows[:, off : off + n]
-    del prod  # lets the output reuse this buffer's memory
-    y = np.empty((cout,) + tuple(m * f for m, f in zip(out, factors)), dtype=flat.dtype)
-    for a, phase in zip(acc.reshape((-1, cout) + grid), itertools.product(*map(range, factors))):
-        slots = (slice(None),) + tuple(slice(p, None, f) for p, f in zip(phase, factors))
-        y[slots] = a[..., : out[1], : out[2]]
-    return y
-
-
-def _stacked(wgt, flat, n, runs):
-    """The forward's (cout, n) tap sum, one product per run and column block
-    into one reused buffer, whose rows are added tap by tap (see `Conv`)."""
+def _stacked(wgt, flat, n, runs, phases):
+    """The forward's (phases, cout, n) tap sums, one product per run and column
+    block into one reused buffer, whose rows are added tap by tap into each
+    output phase's sums (see `Conv`). A fold (phases > 1) has one block."""
     cout = wgt.shape[0]
-    stacks = [(np.concatenate([wgt[tap] for tap in index]), base, shifts, cols)
+    block = _BLOCK if phases == 1 else n
+    stacks = [(np.concatenate([wgt[tap] for tap in index]), base, shifts, max(map(max, shifts)), cols)
               for index, base, shifts, cols in runs]
-    acc = np.zeros((cout, n), dtype=flat.dtype)
-    buf = np.empty(max(len(w) * (min(_BLOCK, n) + shifts[-1] + _TILE) for w, _, shifts, _ in stacks),
-                   flat.dtype)
-    for j in range(0, n, _BLOCK):
-        for w, base, shifts, (c0, c1) in stacks:
-            a, b = max(j, c0), min(j + _BLOCK, c1)
+    acc = np.zeros((phases, cout, n), dtype=flat.dtype)
+    buf = np.empty(max(len(w) * (min(block, n) + span + _TILE) for w, _, _, span, _ in stacks), flat.dtype)
+    for j in range(0, n, block):
+        for w, base, shifts, span, (c0, c1) in stacks:
+            a, b = max(j, c0), min(j + block, c1)
             if a >= b:
                 continue
-            width = -(-(b - a + shifts[-1]) // _TILE) * _TILE
+            width = -(-(b - a + span) // _TILE) * _TILE
             prod = buf[: len(w) * width].reshape(len(w), width)
             np.matmul(w, flat[:, base + a : base + a + width], out=prod)
-            for i, shift in enumerate(shifts):
-                acc[:, a:b] += prod[i * cout : (i + 1) * cout, shift : shift + b - a]
+            for sums, tap_shifts in zip(acc, shifts):
+                for i, shift in enumerate(tap_shifts):
+                    sums[:, a:b] += prod[i * cout : (i + 1) * cout, shift : shift + b - a]
     return acc
 
 
@@ -209,10 +192,10 @@ class Conv(Layer):
     (every s-th element), and the phase grids lie end to end in one flat row
     per channel (for stride 1, the padded input), followed by the zeros that
     keep every tap's slice in bounds. Tap t of an axis reads phase p at shift
-    q, (q, p) = divmod(t * dilation, s), so each tap is one column offset into
-    the row. The backward runs one (cout, cin) product per tap and its adjoint
-    over the same offsets, and so does the forward, cropped once, on small
-    grids.
+    q, (q, p) = divmod((o + t * dilation - pad) // f + pad, s), so each tap is
+    one column offset into the row; o = 0 and f = 1 but in a fold (below). The
+    backward runs one (cout, cin) product per tap and its adjoint over the same
+    offsets, and so does the forward, cropped once, on small grids.
 
     Large grids take the kn2row form of convolution as GEMM (Vasudevan,
     Anderson and Gregg, ASAP 2017; `_stacked`): a run's taps, which read one
@@ -232,12 +215,14 @@ class Conv(Layer):
     grids, such as all of variant A's convs at a 16x32x32 window, keep the
     per-tap loop.
 
-    With `upsample` factors f (stride 1) the conv reads upsample_nearest(x, f)
-    without building it (sub-pixel convolution, Shi et al., CVPR 2016): tap t
-    of output f * q + phase reads x at q + floor((phase + t * dilation - pad)
-    / f) per axis, so each output phase is a conv over x's own padded row
-    (`_folded`), with the bytes of upsample_nearest then the conv for more
-    than one output channel; the backward is that chain's.
+    A fold of `upsample` factors f (stride 1) reads upsample_nearest(x, f)
+    without building it (sub-pixel convolution, Shi et al., CVPR 2016): output
+    f * q + o reads x's padded row at the shift above, so each output phase o
+    is a conv over x. A fold always stacks, with one block: each output phase
+    adds a run's tap rows at its own shifts into its own sums, which go to its
+    strided slots. With more than one output channel (one is a gemv in the
+    chain) that has the bytes of upsample_nearest then the conv, and the
+    backward is that chain's.
     """
 
     def __init__(self, cin, cout, kernel, stride=(1, 1, 1), dilation=1, rng=None, dtype=np.float32, upsample=(1, 1, 1)):
@@ -273,10 +258,8 @@ class Conv(Layer):
             raise ValueError(f"expected {self.cin} channels, got {x.shape[0]}")
         flat, (out, grid, n, _, _, taps, _, runs) = self._row(x, self.upsample)
         wgt = self.params["weight"].reshape((self.cout, self.cin) + self.kernel)
-        if self.upsample != (1, 1, 1):
-            y = _folded(wgt, flat, runs, grid, out, self.upsample)
-        elif runs:
-            acc = _stacked(wgt, flat, n, runs)
+        if runs:
+            acc = _stacked(wgt, flat, n, runs, math.prod(self.upsample))
         else:
             acc = np.empty((self.cout, n), dtype=x.dtype)
             tmp = np.empty_like(acc)
@@ -288,8 +271,13 @@ class Conv(Layer):
                 if i:
                     acc += tmp
             del tmp  # lets the output below reuse this buffer's memory
+        acc = acc.reshape((-1, self.cout) + grid)[..., : out[1], : out[2]]
         if self.upsample == (1, 1, 1):
-            y = np.ascontiguousarray(acc.reshape((self.cout,) + grid)[:, :, : out[1], : out[2]])
+            y = np.ascontiguousarray(acc[0])
+        else:  # each output phase's sums go to its strided slots
+            y = np.empty((self.cout,) + tuple(m * f for m, f in zip(out, self.upsample)), dtype=x.dtype)
+            for sums, phase in zip(acc, itertools.product(*map(range, self.upsample))):
+                y[(slice(None),) + tuple(slice(p, None, f) for p, f in zip(phase, self.upsample))] = sums
         y += self.params["bias"][:, None, None, None]
         if train:
             self._cache = (flat, x.shape) if self.upsample == (1, 1, 1) else (None, x)
@@ -394,6 +382,8 @@ def upsample_nearest(x: np.ndarray, factors: tuple[int, int, int]) -> np.ndarray
 
 
 def upsample_nearest_backward(gy: np.ndarray, factors: tuple[int, int, int]) -> np.ndarray:
+    if tuple(factors) == (1, 1, 1):
+        return gy  # an identity upsample: no copy
     fz, fy, fx = factors
     c, d, h, w = gy.shape
     g = gy.reshape(c, d // fz, fz, h // fy, fy, w // fx, fx)

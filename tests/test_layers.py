@@ -480,6 +480,29 @@ def test_folded_upsample_matches_the_materialized_chain(dtype, cin, cout, dims, 
     assert_same_bytes(got, chain_outputs(conv, x))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.tuples(*[st.sampled_from((1, 3, 5))] * 3),
+    dilation=st.sampled_from((1, 2)),
+    factors=st.tuples(*[st.sampled_from((1, 2, 3))] * 3).filter(lambda f: f != (1, 1, 1)),
+    dims=st.tuples(*[st.integers(1, 9)] * 3),
+    cin=st.integers(1, 5),
+    cout=st.integers(2, 5),
+    dtype=st.sampled_from((np.float32, np.float64)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_folded_upsample_matches_the_materialized_chain_at_any_geometry(kernel, dilation, factors, dims, cin,
+                                                                       cout, dtype, seed):
+    """Any kernel, dilation, factors and extents: a fold with more than one
+    output channel has the bytes of upsample_nearest then a plain conv."""
+    rng = np.random.default_rng(seed)
+    conv = L.Conv(cin, cout, kernel, dilation=dilation, rng=rng, dtype=dtype, upsample=factors)
+    conv.params["bias"][...] = rng.normal(size=cout)
+    x = rng.normal(size=(cin,) + dims).astype(dtype)
+    x[:, : dims[0] // 2] = 0.0
+    assert_same_bytes(conv_outputs(conv, x), chain_outputs(conv, x))
+
+
 @pytest.mark.parametrize("factors", FOLD_FACTORS)
 @pytest.mark.parametrize("dilation", [1, 2])
 def test_folded_upsample_gradients(factors, dilation):
@@ -490,12 +513,13 @@ def test_folded_upsample_gradients(factors, dilation):
 @pytest.mark.parametrize("kernel", [(1, 3, 3), (3, 1, 1), (1, 1, 1), (5, 3, 1)])
 def test_folded_upsample_with_anisotropic_kernels_matches_brute_force(kernel):
     """Other kernel shapes and a factor of 3 against the dense oracle on the
-    materialized upsample."""
-    conv = folded_conv(2, 3, 1, (3, 2, 1), np.float64, kernel)
+    materialized upsample, with three output channels and with one."""
     x = RNG.normal(size=(2, 3, 4, 5))
     up = L.upsample_nearest(x, (3, 2, 1))
-    oracle = brute_conv3d(up, embedded_cube(conv)) + conv.params["bias"][:, None, None, None]
-    np.testing.assert_allclose(conv.forward(x, train=False), oracle, atol=1e-10)
+    for cout in (3, 1):
+        conv = folded_conv(2, cout, 1, (3, 2, 1), np.float64, kernel)
+        oracle = brute_conv3d(up, embedded_cube(conv)) + conv.params["bias"][:, None, None, None]
+        np.testing.assert_allclose(conv.forward(x, train=False), oracle, atol=1e-10)
 
 
 def test_folded_inference_forward_writes_nothing():
@@ -673,6 +697,16 @@ def test_upsample_nearest_and_backward():
     gy = RNG.normal(size=y.shape)
     gx = up.backward(gy)
     assert gx[0, 0, 0, 0] == pytest.approx(gy[0, 0:2, 0:2, 0:2].sum())
+
+
+def test_identity_upsample_backward_returns_its_gradient():
+    """Unit factors (variant B's dec{i}.up slots, the fusion block's finest
+    input) hand the gradient back without a copy."""
+    up = L.UpsampleNearest((1, 1, 1))
+    up.forward(RNG.normal(size=(2, 2, 3, 3)))
+    gy = RNG.normal(size=(2, 2, 3, 3))
+    assert up.backward(gy) is gy
+    assert np.shares_memory(L.upsample_nearest_backward(gy, (1, 1, 1)), gy)
 
 
 def test_silu_gradients():

@@ -155,16 +155,17 @@ def test_b_window_stacked_runs_match_the_per_tap_loop():
 def test_convs_that_stack_runs_at_the_benchmark_windows(cfg, stacked, folded):
     """Read from each conv's cache after a training forward. dec1.conv folds
     the (2, 2, 2) upsample: it caches only its input, on the fusion grid, and
-    its geometry holds 27 tap offsets for each of the 8 output phases. Of the
-    other convs, which cache their input shape, exactly the 3x3x3 convs of the
-    B window stack runs of more than one tap (a kernel plane), and no conv of
-    the A window does."""
+    its geometry holds 3 runs, one per kernel plane, of 9 taps, each tap with
+    a shift for each of the 8 output phases. Of the other convs, which cache
+    their input shape, exactly the 3x3x3 convs of the B window stack runs of
+    more than one tap (a kernel plane), and no conv of the A window does."""
     net = nets.build_net(cfg)
     net.forward(window_input(cfg))
     convs = dict(named_convs(net))
     assert {name: conv._cache[1].shape for name, conv in convs.items() if conv._cache[0] is None} == folded
     for name, shape in folded.items():
-        assert [len(offs) for offs in convs[name]._geometry(shape[1:], (2, 2, 2))[-1]] == [27] * 8
+        runs = convs[name]._geometry(shape[1:], (2, 2, 2))[-1]
+        assert [(len(index), [len(s) for s in shifts]) for index, _, shifts, _ in runs] == [(9, [9] * 8)] * 3
     taps = {name: [len(run[0]) for run in conv._geometry(conv._cache[1][1:])[-1]]
             for name, conv in convs.items() if name not in folded}
     assert {name for name, t in taps.items() if t} == stacked

@@ -33,21 +33,26 @@ def load_script(name):
     return module
 
 
-def result_line(wall_s, fbeta):
+def run_stdout(wall_s, fbeta, src_lines):
+    """A canned `perfbench/run.py` stdout: the environment line, then the result."""
+    env = {"workload": "toy_chain", "seed": 700, "env": {"numpy": "2.0", "src_lines": src_lines}}
     metrics = {"wall_s": {"value": wall_s, "unit": "s"}, "fbeta": {"value": fbeta, "unit": "score"}}
-    return json.dumps({"correct": True, "attempted": 9, "failed": 0, "metrics": metrics})
+    return "\n".join(json.dumps(line) for line in
+                     (env, {"correct": True, "attempted": 9, "failed": 0, "metrics": metrics}))
 
 
 def test_bench_pairs_summary_counts_wins_and_medians():
-    """Canned result lines, no benchmark run: B is faster in 2 of 4 pairs,
-    ties one and loses one; fbeta is higher-is-better and ties in every pair."""
+    """Canned run outputs, no benchmark run: B is faster in 2 of 4 pairs,
+    ties one and loses one; fbeta is higher-is-better and ties in every pair;
+    the last line gives each side's `src/` line count."""
     bench = load_script("bench_pairs")
     walls = [(2.0, 1.5), (2.2, 1.6), (1.9, 1.9), (2.4, 2.5)]
-    pairs = [(bench.parse_result(result_line(a, 0.7)), bench.parse_result(result_line(b, 0.7)))
+    pairs = [(bench.parse_run(run_stdout(a, 0.7, 2438)), bench.parse_run(run_stdout(b, 0.7, 2425)))
              for a, b in walls]
-    assert pairs[0][0] == {"correct": True, "wall_s": 2.0, "fbeta": 0.7}
-    wall, fbeta = bench.summarize(pairs, {"wall_s": "lower", "fbeta": "higher"})
+    assert pairs[0][0] == {"correct": True, "src_lines": 2438, "wall_s": 2.0, "fbeta": 0.7}
+    wall, fbeta, lines = bench.summarize(pairs, {"wall_s": "lower", "fbeta": "higher"})
     assert wall.startswith("wall_s (lower is better): A 2.1 [1.975, 2.25]  B 1.75 [1.575, 2.05]")
     assert "change -16.7%" in wall and wall.endswith("B better in 2 of 4 pairs, 1 ties")
     assert fbeta.endswith("change +0.0%  B better in 0 of 4 pairs, 4 ties")
+    assert lines == "src_lines 2438 → 2425"
     assert bench.quartiles([3.0]) == (3.0, 3.0, 3.0)
