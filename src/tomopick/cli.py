@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import os
 import sys
@@ -35,6 +36,8 @@ def _default_workers() -> int:
 
 
 def _load_cfg(args) -> PipelineConfig:
+    if min(getattr(args, "dims", None) or [1]) < 1:  # gen, rasterize and plan, before any input is read
+        raise ConfigError(f"--dims must be at least 1, got {args.dims}")
     cfg = load_config(args.config) if args.config else PipelineConfig()
     # Flags stored under a config field's name override it through `replace`, which
     # re-runs the config's checks: a bad override exits 3 like the same value in a file.
@@ -305,6 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
+    with contextlib.suppress(AttributeError, OSError):  # mallopt is glibc's; see README, Conventions
+        libc = ctypes.CDLL(None)  # freed blocks under 32 MiB stay in the heap, trimmed past 256 MiB
+        libc.mallopt(-3, 32 << 20), libc.mallopt(-1, 256 << 20)  # M_MMAP_, M_TRIM_THRESHOLD
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

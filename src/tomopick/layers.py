@@ -12,14 +12,14 @@ raises `MissingForwardCacheError`, and one net can serve several threads.
 
 One anisotropic `Conv` serves as per-slice 2D conv, strided depth conv and
 dense (dilated) 3D conv, on a flat phase layout of the padded input for any
-stride. Its backward runs one matrix product per kernel tap, and so does its
-forward on small grids; on large grids the forward runs one product per run
-of taps that share an input slice (a kernel plane, for stride 1) and block of
-output columns, with the per-tap loop's bytes (see `Conv`). A stride-1 `Conv`
-can also fold in a nearest upsample: its runs then span whole rows of the
-low-res input, with one shift per tap for each output phase. The rest are
-depth pooling, pixel shuffle, nearest upsampling, SiLU, scSE attention and the
-multi-scale fusion block.
+stride. Its backward runs one matrix product per kernel tap, and so does the
+forward of a conv with one input or output channel or only one-tap runs; any
+other forward runs one product per run of taps that share an input slice (a
+kernel plane, for stride 1) and block of output columns, with the per-tap
+loop's bytes (see `Conv`). A stride-1 `Conv` can also fold in a nearest
+upsample: its runs then span whole rows of the low-res input, with one shift
+per tap for each output phase. The rest are depth pooling, pixel shuffle,
+nearest upsampling, SiLU, scSE attention and the multi-scale fusion block.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def conv_geometry(cin, cout, kernel, stride, pad, dilation, dims, factors):
         z0, z1 = min(z0 for z0, _ in z), max(z1 for _, z1 in z)  # the planes that hold input
         runs.append((run_index, base, tuple(tuple(off - base for off in shifts) for shifts in zip(*run_offs)),
                      (z0 * lh * lw, max(z0, z1) * lh * lw)))
-    if factors == (1, 1, 1) and (cin == 1 or cout == 1 or n <= _BLOCK or all(len(run[0]) == 1 for run in runs)):
+    if factors == (1, 1, 1) and (cin == 1 or cout == 1 or all(len(run[0]) == 1 for run in runs)):
         runs = []
     tail = _TILE - 1 if runs else 0  # zeros for a stacked product's last tile
     size = max(ld * lh * lw * math.prod(stride), max(map(max, offs)) + n + tail)
@@ -195,9 +195,9 @@ class Conv(Layer):
     q, (q, p) = divmod((o + t * dilation - pad) // f + pad, s), so each tap is
     one column offset into the row; o = 0 and f = 1 but in a fold (below). The
     backward runs one (cout, cin) product per tap and its adjoint over the same
-    offsets, and so does the forward, cropped once, on small grids.
+    offsets, and so does the forward, cropped once, where it selects no runs.
 
-    Large grids take the kn2row form of convolution as GEMM (Vasudevan,
+    Other forwards take the kn2row form of convolution as GEMM (Vasudevan,
     Anderson and Gregg, ASAP 2017; `_stacked`): a run's taps, which read one
     phase grid at one depth shift (for stride 1, a kernel plane), stack their
     weights along M into one (taps * cout, cin) product per block of `_BLOCK`
@@ -209,11 +209,11 @@ class Conv(Layer):
     into zeros, and a product skipped because its input plane is padding
     would be an exact +0.0, which changes no sum.
 
-    The selection is by size: more than `_BLOCK` output columns, a run of more
-    than one tap, and more than one input and output channel (one input
-    channel is a broadcast multiply, one output channel a BLAS gemv). Small
-    grids, such as all of variant A's convs at a 16x32x32 window, keep the
-    per-tap loop.
+    The selection depends only on the conv's shape, not its grid size: a run
+    of more than one tap and more than one input and output channel (one
+    input channel is a broadcast multiply, one output channel a BLAS gemv).
+    The nets' stems, 1x1x1 convs and strided convs (whose runs are single
+    taps) keep the per-tap loop at any window; their 3x3x3 convs stack.
 
     A fold of `upsample` factors f (stride 1) reads upsample_nearest(x, f)
     without building it (sub-pixel convolution, Shi et al., CVPR 2016): output
@@ -332,11 +332,7 @@ class DepthPool(Layer):
     def backward(self, gy):
         cache = self._take_cache()
         if self.mode == "halve":
-            c, d, h, w = cache
-            gx = np.zeros((c, d) + gy.shape[2:], dtype=gy.dtype)
-            gx[:, 0::2] = 0.5 * gy
-            gx[:, 1::2] = 0.5 * gy
-            return gx
+            return np.repeat(0.5 * gy, 2, axis=1)
         xshape, idx = cache
         gx = np.zeros(xshape, dtype=gy.dtype)
         g3 = gy / 3.0

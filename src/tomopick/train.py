@@ -135,8 +135,6 @@ def train(
     loss_fn = LOSSES[cfg.loss]
     params = net.named_params()  # AdamW updates these arrays in place
     ema = {k: v.copy() for k, v in params.items()}
-    if cfg.epochs == 0:
-        return TrainResult({k: v.copy() for k, v in params.items()}, ema, [])
     opt = AdamW(params, cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     history = []

@@ -120,25 +120,38 @@ def assert_same_bytes(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-PER_TAP = 1 << 40
+@contextlib.contextmanager
+def per_tap():
+    """Run every `Conv` forward that folds no upsample through its per-tap
+    loop, the reference for the stacked runs: `conv_geometry` gives such a
+    conv no runs. Yields the list of runs that `_stacked` is called with in
+    the context, so a test can check that its reference stacked nothing."""
+    from tomopick import layers
+
+    geometry, stacked, calls = layers.conv_geometry, layers._stacked, []
+
+    def no_runs(*key):
+        g = geometry(*key)
+        return g if key[-1] != (1, 1, 1) else g[:-1] + ((),)
+
+    def recorded(wgt, flat, n, runs, phases):
+        calls.append(runs)
+        return stacked(wgt, flat, n, runs, phases)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(layers, "conv_geometry", no_runs)
+        m.setattr(layers, "_stacked", recorded)
+        yield calls
 
 
 @contextlib.contextmanager
 def conv_block(block):
-    """Run `Conv` forwards with `block` output columns per stacked product. A
-    block as wide as any grid (PER_TAP) selects no runs, so every forward
-    takes its per-tap loop, the reference for the stacked runs. The geometry
-    cache is cleared on the way in and out, so no geometry built under another
-    block outlives the context."""
+    """Run `Conv` forwards with `block` output columns per stacked product."""
     from tomopick import layers
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(layers, "_BLOCK", block)
-        layers.conv_geometry.cache_clear()
-        try:
-            yield
-        finally:
-            layers.conv_geometry.cache_clear()
+        yield
 
 
 @contextlib.contextmanager

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PER_TAP, assert_same_bytes, brute_conv2d, brute_conv3d, conv_block, fd_grad
+from helpers import assert_same_bytes, brute_conv2d, brute_conv3d, conv_block, fd_grad, per_tap
 from tomopick import layers as L
 
 RNG = np.random.default_rng(2024)
@@ -335,18 +335,20 @@ def test_conv_builds_its_geometry_once_per_input_shape():
     assert (info.misses, info.hits) == (2, 6)
 
 
-# --- convolution: stacked runs on large stride-1 grids ------------------------
+# --- convolution: stacked runs of kernel planes -------------------------------
 
-# (cin, dims, dilation, stride) of 3x3x3 convs to 16 channels whose grids
-# select runs: variant B's fusion (80 channels in) and decoder (16) shapes; a
-# depth of 4 at dilation 4, where the outer planes' runs read only padding;
-# and a depth stride, whose runs read the two depth phases.
+# (cin, dims, dilation, stride) of 3x3x3 convs to 16 channels, which select
+# runs at any grid size: variant B's fusion (80 channels in) and decoder (16)
+# shapes; a depth of 4 at dilation 4, where the outer planes' runs read only
+# padding; a depth stride, whose runs read the two depth phases; and variant
+# A's bottleneck grid at its 16x32x32 window (400 columns).
 STACKED_CONVS = [
     *[(cin, (8, 32, 32), dl, (1, 1, 1)) for cin in (16, 80) for dl in (1, 2, 4)],
     (16, (16, 64, 64), 1, (1, 1, 1)),
     (80, (16, 64, 64), 1, (1, 1, 1)),
     *[(cin, (4, 32, 32), 4, (1, 1, 1)) for cin in (16, 80)],
     (16, (16, 32, 32), 1, (2, 1, 1)),
+    (32, (4, 8, 8), 1, (1, 1, 1)),
 ]
 
 
@@ -378,9 +380,10 @@ def test_stacked_runs_match_the_per_tap_loop(dtype, cin, dims, dilation, stride)
     *_, runs = conv._geometry(dims)
     assert [len(index) for index, *_ in runs] == [9, 9, 9]
     got = conv_outputs(conv, x)
-    with conv_block(PER_TAP):
-        assert conv._geometry(dims)[-1] == ()
-        assert_same_bytes(got, conv_outputs(conv, x))
+    with per_tap() as stacked:
+        want = conv_outputs(conv, x)
+    assert stacked == []
+    assert_same_bytes(got, want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -396,17 +399,25 @@ def test_stacked_runs_match_the_per_tap_loop(dtype, cin, dims, dilation, stride)
 )
 def test_stacked_runs_match_the_per_tap_loop_at_any_geometry(kernel, stride, dilation, dims, cin, cout,
                                                               block, seed):
-    """Narrow blocks make small grids stack their runs: any kernel, stride,
-    dilation and block edge gives the per-tap loop's bytes."""
+    """Narrow blocks split small grids' runs at block edges: any kernel,
+    stride, dilation and block edge gives the per-tap loop's bytes."""
     rng = np.random.default_rng(seed)
     conv = L.Conv(cin, cout, kernel, stride, dilation, rng, np.float64)
     x = rng.normal(size=(cin,) + dims)
     x[:, : dims[0] // 2] = 0.0
-    with conv_block(PER_TAP):
+    with per_tap() as stacked:
         want = conv.forward(x, train=False)
+    assert stacked == []
     with conv_block(block):
         got = conv.forward(x, train=False)
     assert_same_bytes([got], [want])
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (4, 8, 8), (16, 64, 64)])
+def test_runs_are_selected_at_any_grid_size(dims):
+    """The selection reads the conv's shape, not its grid: a 3x3x3 conv with
+    several input and output channels stacks its kernel planes at any size."""
+    assert [len(index) for index, *_ in cube_conv(16, 16)._geometry(dims)[-1]] == [9, 9, 9]
 
 
 @pytest.mark.parametrize("cin, cout", [(1, 16), (16, 1)])

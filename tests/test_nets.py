@@ -1,11 +1,12 @@
 """Shape contracts, determinism, checkpoints, and whole-net gradient checks."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import PER_TAP, assert_same_bytes, conv_block, materialized_upsamples
+from helpers import assert_same_bytes, materialized_upsamples, per_tap
 from tomopick import layers as L
 from tomopick import nets
 
@@ -128,37 +129,59 @@ def named_convs(layer, prefix=""):
         yield from named_convs(sub, f"{prefix}{name}.")
 
 
+def net_outputs(net, x):
+    """Inference output, training output, gx, then every parameter gradient
+    by name."""
+    y_infer = net.forward(x, train=False)
+    net.zero_grads()
+    y = net.forward(x)
+    gx = net.backward(np.random.default_rng(42).normal(size=y.shape).astype(x.dtype))
+    return [y_infer, y, gx, *(g for _, g in sorted(net.named_grads().items()))]
+
+
 def test_b_window_stacked_runs_match_the_per_tap_loop():
     """At the B window, the inference output, the training output, gx and
     every parameter gradient have the bytes of the per-tap loop, with dec1's
     (2, 2, 2) nearest upsample materialized before a plain dec1.conv."""
     net = nets.build_net(B_WINDOW)
     x = window_input(B_WINDOW)
+    got = net_outputs(net, x)
+    with per_tap() as stacked, materialized_upsamples(net):
+        want = net_outputs(net, x)
+    assert stacked == []
+    assert_same_bytes(got, want)
 
-    def outputs():
-        y_infer = net.forward(x, train=False)
-        net.zero_grads()
-        y = net.forward(x)
-        gx = net.backward(np.random.default_rng(42).normal(size=y.shape).astype(np.float32))
-        return [y_infer, y, gx, *(g for _, g in sorted(net.named_grads().items()))]
 
-    got = outputs()
-    with conv_block(PER_TAP), materialized_upsamples(net):
-        assert_same_bytes(got, outputs())
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("strided", [False, True], ids=["A", "A_strided"])
+def test_a_window_stacked_runs_match_the_per_tap_loop(strided, dtype):
+    """At the A window, where `bott` stacks its kernel planes, the inference
+    output, the training output, gx and every parameter gradient have the
+    bytes of the per-tap loop, with depth pooling and with strided depth
+    convs."""
+    cfg = replace(A_WINDOW, class_count=3, strided_depth_pool=strided, dtype=dtype)
+    net = nets.build_net(cfg)
+    x = window_input(cfg).astype(cfg.np_dtype)
+    got = net_outputs(net, x)
+    with per_tap() as stacked:
+        want = net_outputs(net, x)
+    assert stacked == []
+    assert_same_bytes(got, want)
 
 
 @pytest.mark.parametrize("cfg, stacked, folded", [
     (B_WINDOW, {"fusion.branch0", "fusion.branch1", "fusion.branch2", "dec0.conv", "dec2.conv"},
      {"dec1.conv": (16, 8, 32, 32)}),
-    (A_WINDOW, set(), {}),
+    (A_WINDOW, {"bott"}, {}),
 ], ids=["B", "A"])
 def test_convs_that_stack_runs_at_the_benchmark_windows(cfg, stacked, folded):
     """Read from each conv's cache after a training forward. dec1.conv folds
     the (2, 2, 2) upsample: it caches only its input, on the fusion grid, and
     its geometry holds 3 runs, one per kernel plane, of 9 taps, each tap with
     a shift for each of the 8 output phases. Of the other convs, which cache
-    their input shape, exactly the 3x3x3 convs of the B window stack runs of
-    more than one tap (a kernel plane), and no conv of the A window does."""
+    their input shape, exactly the 3x3x3 convs stack runs of more than one
+    tap (a kernel plane): those of the B window, and the A window's `bott`,
+    whose grid has only 400 columns."""
     net = nets.build_net(cfg)
     net.forward(window_input(cfg))
     convs = dict(named_convs(net))
