@@ -12,7 +12,7 @@ import ctypes
 import functools
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import metric, nets, postproc, tiler, train as train_mod
@@ -39,10 +39,15 @@ def _load_cfg(args) -> PipelineConfig:
     if min(getattr(args, "dims", None) or [1]) < 1:  # gen, rasterize and plan, before any input is read
         raise ConfigError(f"--dims must be at least 1, got {args.dims}")
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    # Flags stored under a config field's name override it through `replace`, which
-    # re-runs the config's checks: a bad override exits 3 like the same value in a file.
-    fields = ("offset", "window", "xy_stride", "edge_floor")
-    return replace(cfg, **{f: getattr(args, f) for f in fields if getattr(args, f, None) is not None})
+    # `replace` re-runs the config's checks: a bad override exits 3 like the same value in a file.
+    return replace(cfg, **_given(args, PipelineConfig))
+
+
+def _given(args, config_class) -> dict:
+    """The flags given (not None) whose dest names a field of `config_class`. Such flags set
+    no default of their own, so an absent flag leaves the dataclass's default in force."""
+    return {f.name: getattr(args, f.name) for f in fields(config_class)
+            if getattr(args, f.name, None) is not None}
 
 
 def _counts_per_class(pairs: tuple[tuple[str, int], ...], cfg: PipelineConfig) -> tuple[int, ...]:
@@ -71,19 +76,11 @@ def _window_depth(variant: str, cfg: PipelineConfig) -> int:
     return cfg.z_window if variant == "A" else 2 * cfg.z_window
 
 
-def _net_config(args, cfg: PipelineConfig, seed: int = 0) -> nets.NetConfig:
+def _net_config(args, cfg: PipelineConfig) -> nets.NetConfig:
     """The net that the config and net flags describe; exit 3 if none can be built."""
     with _config_values("no net can be built: "):
-        return nets.NetConfig(
-            variant=args.variant,
-            in_depth=_window_depth(args.variant, cfg),
-            window_hw=cfg.window,
-            class_count=len(cfg.classes),
-            widths=args.widths,
-            decoder_width=args.decoder_width,
-            seed=seed,
-            strided_depth_pool=args.strided_depth_pool,
-        )
+        return nets.NetConfig(in_depth=_window_depth(args.variant, cfg), window_hw=cfg.window,
+                              class_count=len(cfg.classes), **_given(args, nets.NetConfig))
 
 
 def stage_widths(text: str) -> tuple[int, ...]:
@@ -121,11 +118,9 @@ def cmd_rasterize(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    ncfg = _net_config(args, cfg, seed=args.seed)
+    ncfg = _net_config(args, cfg)
     with _config_values():
-        tcfg = train_mod.TrainConfig(
-            epochs=args.epochs, base_lr=args.lr, warmup_epochs=args.warmup_epochs,
-            weight_decay=args.weight_decay, batch_size=args.batch_size, seed=args.seed, loss=args.loss)
+        tcfg = train_mod.TrainConfig(**_given(args, train_mod.TrainConfig))
     data_dir = Path(args.data)
     vols = sorted(data_dir.glob("*.vol"))
     if not vols:
@@ -144,7 +139,7 @@ def cmd_train(args) -> int:
     nets.save_weights(args.out, net)
     log_path = Path(args.out).with_suffix(".loss.txt")
     log_path.write_text("".join(f"{i} {v!r}\n" for i, v in enumerate(result.loss_history)))
-    print(f"trained on {len(dataset)} windows for {args.epochs} epochs")
+    print(f"trained on {len(dataset)} windows for {tcfg.epochs} epochs")
     if result.loss_history:
         print(f"loss: first {result.loss_history[0]:.6f} last {result.loss_history[-1]:.6f}")
     print(f"wrote {args.out} and {log_path}")
@@ -231,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if offset:
-            p.add_argument("--offset", type=float, choices=[1.0, 0.5], default=None)
+            p.add_argument("--offset", type=float, help="1.0 or 0.5")
 
     p = sub.add_parser("gen", help="generate a synthetic tomogram + ground-truth picks")
     common(p, seed=True)
@@ -252,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rasterize)
 
     def net_flags(p):
-        p.add_argument("--variant", choices=["A", "B"], default="A")
-        p.add_argument("--widths", type=stage_widths, default="8,16,32,32")
-        p.add_argument("--decoder-width", type=int, default=16)
+        p.add_argument("--variant", choices=["A", "B"], default=nets.NetConfig.variant)
+        p.add_argument("--widths", type=stage_widths)
+        p.add_argument("--decoder-width", type=int)
         p.add_argument("--strided-depth-pool", action="store_true",
                        help="ablation: strided depth convs instead of pooling")
 
@@ -262,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True, offset=True)
     net_flags(p)
     p.add_argument("--data", required=True, help="dir of paired .vol/.picks scene files")
-    p.add_argument("--epochs", type=int, default=25)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--warmup-epochs", type=int, default=4)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--loss", choices=sorted(LOSSES), default="weighted")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", dest="base_lr", type=float)
+    p.add_argument("--warmup-epochs", type=int)
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--loss", choices=sorted(LOSSES))
     p.add_argument("--window-hw", dest="window", type=int, default=None, help="override tiling.window")
     p.add_argument("--use-ema", action="store_true", help="save EMA weights instead of raw")
     p.add_argument("--out", required=True, help="output WTS1 checkpoint")
@@ -301,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dims", type=int, nargs=3, required=True, metavar=("D", "H", "W"))
     p.add_argument("--xy-stride", type=int, default=None, help="override tiling.xy_stride")
-    p.add_argument("--variant", choices=["A", "B"], default="A", help="net whose window depth to plan")
+    p.add_argument("--variant", choices=["A", "B"], default=nets.NetConfig.variant,
+                   help="net whose window depth to plan")
     p.set_defaults(func=cmd_plan)
 
     return parser

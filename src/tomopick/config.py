@@ -9,7 +9,7 @@ and unknown keys are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .coords import DEFAULT_OFFSET, ParticleClassSpec
 from .postproc import DEFAULT_NMS_KERNEL
@@ -38,14 +38,8 @@ def default_classes(spacing: float = DEFAULT_SPACING) -> tuple[ParticleClassSpec
         ("virus_like_particle", 135.0),
     ]
     return tuple(
-        ParticleClassSpec(
-            name=name,
-            radius=radius,
-            sigma_vox=sigma_for_radius(radius, spacing),
-            detect_threshold=0.5,
-            match_radius_tau=2.0 * radius,
-            metric_weight=1.0,
-        )
+        ParticleClassSpec(name=name, radius=radius, sigma_vox=sigma_for_radius(radius, spacing),
+                          match_radius_tau=2.0 * radius)
         for name, radius in table
     )
 
@@ -71,6 +65,8 @@ class PipelineConfig:
             raise ConfigError("nms kernel must be odd and >= 1")
         if not self.classes:
             raise ConfigError("at least one particle class required")
+        if not any(c.metric_weight for c in self.classes):
+            raise ConfigError("class metric weights must not all be zero")
         for name in ("window", "xy_stride", "z_window", "z_stride"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"tiling {name} must be >= 1, got {getattr(self, name)}")
@@ -94,7 +90,7 @@ _KEYS = {
     "nms.kernel": ("nms_kernel", int),
     "blend.edge_floor": ("edge_floor", float),
 }
-_CLASS_FIELDS = ("radius", "sigma_vox", "detect_threshold", "match_radius_tau", "metric_weight")
+_CLASS_FIELDS = tuple(f.name for f in fields(ParticleClassSpec))[1:]  # after `name`
 
 
 def format_config(cfg: PipelineConfig) -> str:
@@ -116,27 +112,19 @@ def parse_config(text: str) -> PipelineConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key.startswith("class."):
-            parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in _CLASS_FIELDS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            fields_here = class_fields.setdefault(parts[1], {})
-            if parts[2] in fields_here:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            try:
-                fields_here[parts[2]] = float(value)
-            except ValueError as e:
-                raise ConfigError(f"line {lineno}: {e}") from e
+        parts = key.split(".")
+        if len(parts) == 3 and parts[0] == "class" and parts[2] in _CLASS_FIELDS:
+            target, name, kind = class_fields.setdefault(parts[1], {}), parts[2], float
+        elif key in _KEYS:
+            target, (name, kind) = kwargs, _KEYS[key]
         else:
-            if key not in _KEYS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            name, kind = _KEYS[key]
-            if name in kwargs:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            try:
-                kwargs[name] = kind(value)
-            except ValueError as e:
-                raise ConfigError(f"line {lineno}: {key}: {e}") from e
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if name in target:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        try:
+            target[name] = kind(value)
+        except ValueError as e:
+            raise ConfigError(f"line {lineno}: {key}: {e}") from e
 
     classes = []
     for name, fields_here in class_fields.items():

@@ -101,7 +101,7 @@ def rasterize_heatmap(
     d, h, w = dims
     if min(dims) <= 0:
         raise ValueError(f"dims must be positive, got {dims}")
-    data = np.zeros((len(classes), d, h, w), dtype=np.float64)
+    data = np.zeros((len(classes), d, h, w), dtype=np.float32)
     skipped = 0
     for rec in picks.records:
         if not 0 <= rec.class_id < len(classes):
@@ -115,10 +115,11 @@ def rasterize_heatmap(
         hit = gaussian_patch((cz, cy, cx), classes[rec.class_id].sigma_vox, truncation, dims)
         if hit is not None:
             region = data[rec.class_id][hit[0]]
+            # A float64 max rounded once: rounding is monotone, so the float32 of the float64 max.
             np.maximum(region, hit[1], out=region)
     if skipped:
         log.warning("rasterize_heatmap: skipped %d out-of-volume pick(s)", skipped)
-    return Heatmap(data.astype(np.float32), picks.spacing)
+    return Heatmap(data, picks.spacing)
 
 
 def _axis_window(c: float, reach: float, n: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,13 +35,14 @@ class NetConfig:
     in_depth: int = 16
     window_hw: int = 128
     class_count: int = 1
-    widths: tuple[int, ...] = (8, 16, 32)
+    widths: tuple[int, ...] = (8, 16, 32, 32)
     decoder_width: int = 16
     seed: int = 0
     dtype: str = "float32"
     strided_depth_pool: bool = False  # ablation: replace depth halving with strided conv
 
     def __post_init__(self):
+        object.__setattr__(self, "widths", tuple(self.widths))
         if self.variant not in ("A", "B"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if any(w < 1 for w in self.widths):
@@ -64,17 +65,8 @@ class NetConfig:
 
 
 def config_hash(cfg: NetConfig) -> int:
-    canon = repr(
-        (
-            cfg.variant,
-            cfg.in_depth,
-            cfg.window_hw,
-            cfg.class_count,
-            tuple(cfg.widths),
-            cfg.decoder_width,
-            cfg.strided_depth_pool,
-        )
-    )
+    """Hash of the repr of the fields that shape the net, in declaration order: all but seed and dtype."""
+    canon = repr(tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("seed", "dtype")))
     return int.from_bytes(hashlib.sha256(canon.encode()).digest()[:8], "little")
 
 
@@ -219,6 +211,7 @@ def build_net(config: NetConfig) -> ToyNet:
 #
 # magic "WTS1", little-endian u64 config hash, u32 block count, then per block:
 # u32 name length, utf-8 name, u32 ndim, u32 dims, raw little-endian f32 data.
+# Each parameter name appears in one block.
 
 WTS_MAGIC = b"WTS1"
 
@@ -262,6 +255,8 @@ def load_weights(path, config: NetConfig) -> dict[str, np.ndarray]:
         for _ in range(count):
             (nlen,) = struct.unpack("<I", take(f, 4, "name length"))
             name = take(f, nlen, "name").decode()
+            if name in state:
+                raise CheckpointError(f"{path}: parameter {name!r} repeated")
             (ndim,) = struct.unpack("<I", take(f, 4, "ndim"))
             shape = struct.unpack(f"<{ndim}I", take(f, 4 * ndim, "dims"))
             data = np.frombuffer(take(f, 4 * math.prod(shape), "data"), dtype="<f4").reshape(shape)

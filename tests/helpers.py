@@ -4,6 +4,7 @@ separate from the library code paths they verify."""
 import contextlib
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -193,3 +194,12 @@ def optimal_match_tp(preds, gts, tau):
 
     rec(0, frozenset(), 0, 0.0)
     return best[0]
+
+
+def append_wts_block(path, name: str, values) -> None:
+    """Append one parameter block to the WTS1 file at `path` and count it in the header."""
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 12, struct.unpack_from("<I", data, 12)[0] + 1)
+    arr, nb = np.ascontiguousarray(values, dtype="<f4"), name.encode()
+    data += struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape) + arr.tobytes()
+    path.write_bytes(bytes(data))

@@ -1,14 +1,17 @@
 """Config file round trips and the command-line front end."""
 
+import argparse
 import collections
 import os
 import platform
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from helpers import append_wts_block
 from tomopick import nets
 from tomopick.cli import build_parser, run
 from tomopick.config import (
@@ -20,6 +23,7 @@ from tomopick.config import (
     sigma_for_radius,
 )
 from tomopick.coords import ParticleClassSpec
+from tomopick.train import TrainConfig
 from tomopick.volgrid import Volume3D, read_heatmap, read_volume, write_volume
 
 
@@ -141,7 +145,8 @@ def _class_block(**values):
     "pipeline.spacing = inf",
     *[pytest.param(_class_block(**{fld: value}), id=f"class.a.{fld} = {value}") for fld, value in (
         ("radius", "nan"), ("radius", "inf"), ("sigma_vox", "inf"), ("match_radius_tau", "nan"),
-        ("match_radius_tau", "inf"), ("metric_weight", "inf"), ("metric_weight", "nan"))],
+        ("match_radius_tau", "inf"), ("metric_weight", "inf"), ("metric_weight", "nan"),
+        ("metric_weight", "0.0"))],  # the only class: every weight would be zero
 ])
 def test_out_of_range_config_value_exits_3(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
@@ -211,6 +216,20 @@ def test_infer_forged_checkpoint_block_exits_4(tmp_path, small_cfg, capsys):
                    "--volume", str(vol), "--out", str(tmp_path / "hm.hmc"))
     assert code == 4
     assert "truncated while reading data" in capsys.readouterr().err
+
+
+def test_infer_repeated_checkpoint_block_exits_4(tmp_path, small_cfg, capsys):
+    """A WTS1 file that names a parameter twice: infer exits 4."""
+    vol = tmp_path / "scene.vol"
+    write_volume(Volume3D(np.zeros((16, 32, 32), dtype=np.float32), 10.0), vol)
+    ckpt = tmp_path / "a.wts"
+    nets.save_weights(ckpt, nets.build_net(nets.NetConfig(variant="A", in_depth=16, window_hw=32,
+                                                          widths=(4, 4, 4))))
+    append_wts_block(ckpt, "bott.bias", np.full(4, 7.0))
+    code = run_cli("infer", str(ckpt), "--config", small_cfg, "--widths", "4,4,4",
+                   "--volume", str(vol), "--out", str(tmp_path / "hm.hmc"))
+    assert code == 4
+    assert "parameter 'bott.bias' repeated" in capsys.readouterr().err
 
 
 def test_plan_names_uncovered_z_ranges(tmp_path, capsys):
@@ -436,6 +455,9 @@ def test_strided_depth_pool_checkpoint_can_be_inferred(tmp_path):
     *[("infer", "none.wts", "--volume", "none.vol", "--out", "none.hmc", *bad) for bad in (
         ("--xy-stride", "0"), ("--xy-stride", "-1"), ("--edge-floor", "0"), ("--edge-floor", "1"),
         ("--workers", "0"))],
+    ("pick", "--heatmap", "none.hmc", "--out", "none.picks", "--offset", "0.7"),
+    ("rasterize", "--picks", "none.picks", "--out", "none.hmc", "--dims", "8", "32", "32", "--offset", "0.7"),
+    ("train", "--data", "none", "--out", "none.wts", "--offset", "0.7"),
     ("train", "--data", "none", "--out", "none.wts", "--window-hw", "1024"),
     ("train", "--data", "none", "--out", "none.wts", "--window-hw", "20"),  # no net: 20 % 8 != 0
     *[("train", "--data", "none", "--out", "none.wts", *bad) for bad in (
@@ -518,6 +540,25 @@ def test_flags_exist_only_where_they_act():
               for flag in ("--seed", "--offset", "--strided-depth-pool", "--window-hw")}
     assert having == {"--seed": ["gen", "train"], "--offset": ["pick", "rasterize", "train"],
                       "--strided-depth-pool": ["infer", "train"], "--window-hw": ["train"]}
+
+
+def test_config_flags_set_no_default_of_their_own():
+    """A flag stored under a config field's name sets no default, so the
+    dataclass's own default applies. --variant reads NetConfig's default, since
+    the window depth needs it before the net's config exists; --seed keeps 0,
+    since gen's SceneSpec reads it too."""
+    commands = build_parser()._subparsers._group_actions[0].choices
+    names = {f.name for cls in (PipelineConfig, TrainConfig, nets.NetConfig) for f in fields(cls)} - {"seed"}
+    found = collections.defaultdict(set)
+    for command, p in commands.items():
+        for action in p._actions:
+            if action.dest in names:
+                found[command].add(action.dest)
+                store_true = isinstance(action, argparse._StoreTrueAction)
+                own = nets.NetConfig.variant if action.dest == "variant" else False if store_true else None
+                assert action.default is own, (command, action.option_strings, action.default)
+    assert found["train"] == {"offset", "variant", "widths", "decoder_width", "strided_depth_pool", "epochs",
+                              "base_lr", "warmup_epochs", "weight_decay", "batch_size", "loss", "window"}
 
 
 REFILL = """

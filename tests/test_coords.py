@@ -85,6 +85,20 @@ def test_rasterize_overlap_is_max_not_sum():
     assert hm.data[0].max() <= 1.0
 
 
+def test_rasterize_is_the_float32_of_the_float64_max():
+    """Overlapping same-class picks: every voxel holds the float64 per-voxel max
+    rounded once to float32."""
+    rng = np.random.default_rng(5)
+    dims = (8, 10, 10)
+    recs = [PickRecord(k % 2, *rng.uniform(10.0, 60.0, size=3)) for k in range(8)]  # all in the volume
+    classes = [make_class(2.0), make_class(1.5, name="c1")]
+    hm = rasterize_heatmap(PickSet(tuple(recs), SP), classes, dims)
+    assert hm.data.dtype == np.float32
+    for c, cls in enumerate(classes):
+        centers = [tuple(phys_to_pixel(v, SP) for v in (r.z, r.y, r.x)) for r in recs if r.class_id == c]
+        assert hm.data[c].tobytes() == np.float32(brute_rasterize(centers, cls.sigma_vox, dims)).tobytes()
+
+
 def test_rasterize_values_bounded():
     rng = np.random.default_rng(0)
     recs = tuple(

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import assert_same_bytes, materialized_upsamples, per_tap
+from helpers import append_wts_block, assert_same_bytes, materialized_upsamples, per_tap
 from tomopick import layers as L
 from tomopick import nets
+from tomopick.cli import _net_config, build_parser
+from tomopick.config import PipelineConfig
 
 RNG = np.random.default_rng(31)
 
@@ -284,6 +286,42 @@ def test_checkpoint_truncation_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(nets.CheckpointError):
         nets.load_weights(path, tiny_a())
+
+
+def test_checkpoint_repeated_name_rejected(tmp_path):
+    """A second block for one parameter is an error; the later block does not win."""
+    net = nets.build_net(tiny_a())
+    path = tmp_path / "net.wts"
+    nets.save_weights(path, net)
+    append_wts_block(path, "bott.bias", np.full(net.named_params()["bott.bias"].shape, 7.0))
+    with pytest.raises(nets.CheckpointError, match="parameter 'bott.bias' repeated"):
+        nets.load_weights(path, tiny_a())
+
+
+def _cli_default_net(variant):
+    args = build_parser().parse_args(["train", "--data", "d", "--out", "m.wts", "--variant", variant])
+    return _net_config(args, PipelineConfig())
+
+
+def test_config_hash_keeps_its_values():
+    """Checkpoints carry these hashes (the committed fixtures among them), so
+    the canonical text that `config_hash` hashes must not change."""
+    configs = {
+        **FIXTURES,
+        "cli_default_a": _cli_default_net("A"),
+        "cli_default_b": _cli_default_net("B"),
+        # infer_b_ensemble's net_config(1)
+        "ensemble_b": nets.NetConfig(variant="B", in_depth=16, window_hw=64, class_count=6,
+                                     widths=(8, 16, 32, 32), decoder_width=16, seed=1),
+    }
+    assert {name: nets.config_hash(cfg) for name, cfg in configs.items()} == {
+        "a": 430068878738153525,
+        "a_strided": 11402711830136638887,
+        "b": 12673531262788522623,
+        "cli_default_a": 7776190134203050975,
+        "cli_default_b": 10746973694647468925,
+        "ensemble_b": 4190615218220262105,
+    }
 
 
 @pytest.mark.parametrize("make", [tiny_a, tiny_b])
