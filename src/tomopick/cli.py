@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import ctypes
 import functools
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -26,13 +25,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_DATA = 4
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("TOMOPICK_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigError(f"TOMOPICK_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
 
 
 def _load_cfg(args) -> PipelineConfig:
@@ -274,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--volume", required=True)
     p.add_argument("checkpoints", nargs="+", help="one or more WTS1 checkpoints to ensemble")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--xy-stride", type=int, default=None, help="override tiling.xy_stride")
     p.add_argument("--edge-floor", type=float, default=None, help="override blend.edge_floor")
     p.add_argument("--no-blend-weight", action="store_true", help="uniform weights: blend edge floor 1")

@@ -9,6 +9,7 @@ and unknown keys are rejected.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field, fields
 
 from .coords import DEFAULT_OFFSET, ParticleClassSpec
@@ -44,18 +45,23 @@ def default_classes(spacing: float = DEFAULT_SPACING) -> tuple[ParticleClassSpec
     )
 
 
+def _key(key: str, default):
+    """A config field written to and read from the flat file as `key`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    spacing: float = DEFAULT_SPACING
-    offset: float = DEFAULT_OFFSET  # 1.0 default; 0.5 available for comparison
-    classes: tuple[ParticleClassSpec, ...] = field(default_factory=default_classes)
-    window: int = 128
-    xy_stride: int = 48
-    pad_to: int = 656
-    z_window: int = 16
-    z_stride: int = 8
-    nms_kernel: int = DEFAULT_NMS_KERNEL
-    edge_floor: float = DEFAULT_EDGE_FLOOR
+    spacing: float = _key("pipeline.spacing", DEFAULT_SPACING)
+    offset: float = _key("pipeline.offset", DEFAULT_OFFSET)  # 1.0 default; 0.5 available for comparison
+    classes: tuple[ParticleClassSpec, ...] = field(default_factory=default_classes)  # class.<name>.<field>
+    window: int = _key("tiling.window", 128)
+    xy_stride: int = _key("tiling.xy_stride", 48)
+    pad_to: int = _key("tiling.pad_to", 656)
+    z_window: int = _key("tiling.z_window", 16)
+    z_stride: int = _key("tiling.z_stride", 8)
+    nms_kernel: int = _key("nms.kernel", DEFAULT_NMS_KERNEL)
+    edge_floor: float = _key("blend.edge_floor", DEFAULT_EDGE_FLOOR)
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
@@ -78,18 +84,9 @@ class PipelineConfig:
             raise ConfigError(f"spacing must be finite and > 0, got {self.spacing}")
 
 
-# Flat-file key -> (PipelineConfig field, value type), in file order.
-_KEYS = {
-    "pipeline.spacing": ("spacing", float),
-    "pipeline.offset": ("offset", float),
-    "tiling.window": ("window", int),
-    "tiling.xy_stride": ("xy_stride", int),
-    "tiling.pad_to": ("pad_to", int),
-    "tiling.z_window": ("z_window", int),
-    "tiling.z_stride": ("z_stride", int),
-    "nms.kernel": ("nms_kernel", int),
-    "blend.edge_floor": ("edge_floor", float),
-}
+# Flat-file key -> (PipelineConfig field, value type), in field order.
+_TYPES = typing.get_type_hints(PipelineConfig)
+_KEYS = {f.metadata["key"]: (f.name, _TYPES[f.name]) for f in fields(PipelineConfig) if "key" in f.metadata}
 _CLASS_FIELDS = tuple(f.name for f in fields(ParticleClassSpec))[1:]  # after `name`
 
 

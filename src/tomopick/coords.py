@@ -33,6 +33,10 @@ class ParticleClassSpec:
     metric_weight: float = 1.0
 
     def __post_init__(self):
+        # A name must survive a picks file's `,` fields and `strip()`, and a `--counts` `name=N` pair.
+        if not self.name or self.name != self.name.strip() or "," in self.name or "=" in self.name:
+            raise ValueError(f"class name {self.name!r} must be non-empty, without ',' or '=' "
+                             "or leading or trailing whitespace")
         # NaN fails every comparison, so these bounds reject it too.
         for fld in ("radius", "sigma_vox", "match_radius_tau"):
             if not 0 < getattr(self, fld) < math.inf:

@@ -268,6 +268,5 @@ def load_weights(path, config: NetConfig) -> dict[str, np.ndarray]:
 
 def load_net(path, config: NetConfig) -> ToyNet:
     net = build_net(config)
-    state = load_weights(path, config)
-    net.set_params({k: v.astype(config.np_dtype) for k, v in state.items()})
+    net.set_params(load_weights(path, config))  # assignment casts to the net's dtype
     return net

@@ -19,6 +19,7 @@ from tomopick.config import (
     PipelineConfig,
     default_classes,
     format_config,
+    _KEYS,
     parse_config,
     sigma_for_radius,
 )
@@ -242,12 +243,6 @@ def test_plan_names_uncovered_z_ranges(tmp_path, capsys):
 def test_plan_without_gaps_says_none(capsys):
     assert run_cli("plan", "--dims", "184", "630", "630") == 0
     assert "gaps: none\n" in capsys.readouterr().out
-
-
-def test_bad_thread_env_exits_3(monkeypatch, capsys):
-    monkeypatch.setenv("TOMOPICK_THREADS", "abc")
-    assert run_cli("plan", "--dims", "64", "64", "64") == 3
-    assert "config error: TOMOPICK_THREADS" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():
@@ -528,12 +523,6 @@ def test_repeated_class_in_counts_exits_3(tmp_path, small_cfg, capsys, counts):
     assert not out.exists()
 
 
-def test_thread_env_that_int_cannot_parse_exits_3(monkeypatch, capsys):
-    monkeypatch.setenv("TOMOPICK_THREADS", "\u00b2")  # a digit to str.isdigit, not to int()
-    assert run_cli("plan", "--dims", "64", "64", "64") == 3
-    assert "config error: TOMOPICK_THREADS" in capsys.readouterr().err
-
-
 def test_flags_exist_only_where_they_act():
     commands = build_parser()._subparsers._group_actions[0].choices
     having = {flag: sorted(name for name, p in commands.items() if flag in p._option_string_actions)
@@ -585,3 +574,61 @@ def test_cli_keeps_freed_blocks_in_the_heap():
                                  check=True, env=env, timeout=60).stdout)
               for argv in ([], ["plan", "--dims", "16", "64", "64"])]
     assert faults[0] > 0 and faults[1] == 0
+
+
+def test_every_config_field_but_classes_has_a_file_key():
+    """The flat file's keys are declared on PipelineConfig's fields, in field order."""
+    assert [name for name, _ in _KEYS.values()] == [f.name for f in fields(PipelineConfig) if f.name != "classes"]
+
+
+@pytest.mark.parametrize("line", ["tiling.window = 64.0", "nms.kernel = 7.0", "nms.kernel = 4", "nms.kernel = 0"])
+def test_int_key_given_a_float_or_bad_nms_kernel_exits_3(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    assert run_cli("plan", "--dims", "64", "64", "64", "--config", str(bad)) == 3
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_float_key_given_an_int_parses_to_a_float():
+    spacing = parse_config("pipeline.spacing = 10\n").spacing
+    assert type(spacing) is float and spacing == 10.0
+
+
+@pytest.mark.parametrize("name", ["", "a,b", "a=b", " a", "a ", "a\t"])
+def test_class_name_the_picks_format_cannot_hold_is_rejected(name):
+    """A picks line splits on ',' and is stripped, and --counts splits on '='."""
+    with pytest.raises(ValueError, match="class name"):
+        ParticleClassSpec(name=name, radius=40.0, sigma_vox=2.0)
+
+
+@pytest.mark.parametrize("name", ["", "a,b", " a", "a "])
+def test_config_class_name_the_picks_format_cannot_hold_exits_3(tmp_path, capsys, name):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(_class_block().replace("class.a.", f"class.{name}.") + "\n")
+    assert run_cli("plan", "--dims", "64", "64", "64", "--config", str(bad)) == 3
+    assert "config error: class" in capsys.readouterr().err
+
+
+def test_gen_unknown_class_in_counts_exits_3(tmp_path, small_cfg, capsys):
+    out = tmp_path / "s.vol"
+    assert run_cli("gen", "--config", small_cfg, "--dims", "8", "32", "32", "--counts", "nope=1",
+                   "--out-volume", str(out), "--out-picks", str(tmp_path / "s.picks")) == 3
+    assert "config error: unknown class 'nope' in --counts" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_data_without_volumes_exits_4(tmp_path, small_cfg, capsys):
+    out = tmp_path / "m.wts"
+    assert run_cli("train", "--config", small_cfg, "--data", str(tmp_path), "--out", str(out)) == 4
+    assert "error: no .vol files in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_volume_without_its_picks_exits_4(tmp_path, small_cfg, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_volume(Volume3D(np.zeros((16, 32, 32), dtype=np.float32), spacing=10.0), data / "s.vol")
+    out = tmp_path / "m.wts"
+    assert run_cli("train", "--config", small_cfg, "--data", str(data), "--out", str(out)) == 4
+    assert "error: missing picks file for" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from tomopick import nets
-from tomopick.coords import ParticleClassSpec, PickSet, rasterize_heatmap
+from tomopick.config import PipelineConfig
+from tomopick.coords import ParticleClassSpec, PickRecord, PickSet, rasterize_heatmap
 from tomopick.synthdata import SceneSpec, generate_tomogram
 from tomopick.train import (
     TrainConfig,
     TrainingDivergedError,
     ema_update,
     lr_at,
+    scene_windows,
     train,
 )
+from tomopick.volgrid import Volume3D
 
 
 def test_lr_warmup_midpoint():
@@ -141,3 +144,22 @@ def test_nan_divergence_aborts():
             # force the check if it somehow survived
             if any(math.isnan(x) for x in result.loss_history):
                 raise TrainingDivergedError("nan history")
+
+
+def test_scene_windows_keeps_one_background_window_only_when_none_holds_signal():
+    """Without a target of 0.5 or more, a scene still gives training its first
+    window as background; with one, only the windows holding signal are kept."""
+    cfg = PipelineConfig(spacing=10.0, classes=(ParticleClassSpec("a", radius=40.0, sigma_vox=2.0),))
+    ncfg = nets.NetConfig(in_depth=8, window_hw=16)
+    values = np.arange(16 * 32 * 32, dtype=np.float32).reshape(16, 32, 32)
+    volume = Volume3D(values, spacing=10.0)
+
+    ((win, tgt),) = scene_windows(volume, PickSet((), 10.0), cfg, ncfg)
+    np.testing.assert_array_equal(win, values[:8, :16, :16])
+    assert tgt.shape == (1, 8, 16, 16) and not tgt.any()
+
+    # Voxel (12, 24, 24)'s centre, in the window at origin (8, 16, 16).
+    pick = PickRecord(0, x=235.0, y=235.0, z=115.0)
+    ((win, tgt),) = scene_windows(volume, PickSet((pick,), 10.0), cfg, ncfg)
+    np.testing.assert_array_equal(win, values[8:, 16:, 16:])
+    assert tgt.max() >= 0.5
