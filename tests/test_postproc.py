@@ -1,12 +1,15 @@
 """Local-maxima peak extraction and heatmap -> pick conversion."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter
 
+from tomopick import postproc
 from tomopick.coords import ParticleClassSpec, PickRecord, PickSet, rasterize_heatmap
 from tomopick.postproc import extract_picks, local_maxima
 from tomopick.volgrid import Heatmap
@@ -98,13 +101,56 @@ def test_even_or_nonpositive_kernel_rejected():
 @pytest.mark.parametrize("kernel", [1, 3, 7])
 @pytest.mark.parametrize("seed", range(6))
 def test_matches_brute_force_oracle(kernel, seed):
+    """The oracle's peaks in (z, y, x) order, also on plateau-heavy channels
+    with axes of length 1-11 and kernels 1-11 (wider than the channel too),
+    with and without a threshold, in float32 and float64 and through a
+    non-contiguous view."""
     rng = np.random.default_rng(seed)
     vol = rng.random((10, 12, 9)).astype(np.float32)
     # quantize so plateaus actually occur
     vol = np.round(vol * 8) / 8
-    got = sorted(local_maxima(vol, kernel))
-    want = sorted(brute_local_maxima(vol, kernel))
-    assert got == want
+    assert local_maxima(vol, kernel) == sorted(brute_local_maxima(vol, kernel))
+    for k in (kernel, kernel + 2 + 2 * (seed % 2)):
+        shape = rng.integers(1, 12, size=3)
+        if k > kernel:
+            shape[seed % 3] = 1
+        plateaus = (rng.integers(0, 4, size=shape) / 3).astype(np.float32)
+        for channel in (plateaus, plateaus[:, :, ::-1]):
+            want = sorted(brute_local_maxima(np.ascontiguousarray(channel), k))
+            for min_value in (None, 2 / 3):
+                kept = [p for p in want if min_value is None or p[1] >= min_value]
+                assert local_maxima(channel, k, min_value) == kept
+                assert local_maxima(channel.astype(np.float64), k, min_value) == kept
+
+
+@pytest.mark.parametrize("min_value", [None, 0.5])
+def test_peak_memory_stays_near_two_channels(min_value):
+    """No whole-channel padded copy: the two max-filter outputs and the
+    candidate mask are the peak."""
+    channel = np.random.default_rng(0).random((32, 64, 64), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        local_maxima(channel, kernel=7, min_value=min_value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * channel.nbytes, peak / channel.nbytes
+
+
+def test_last_maximum_filter_result_is_the_cube_max(monkeypatch):
+    """The benchmark's tracer counts candidates from the last array
+    `postproc.maximum_filter` returns inside `local_maxima`."""
+    results = []
+
+    def recorder(*args, **kwargs):
+        results.append(maximum_filter(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(postproc, "maximum_filter", recorder)
+    channel = np.round(np.random.default_rng(1).random((4, 20, 30)) * 4).astype(np.float32)
+    local_maxima(channel, kernel=9, min_value=1.0)
+    cube = maximum_filter(channel, size=(7, 9, 9), mode="nearest")
+    assert np.array_equal(results[-1], cube)
 
 
 def test_voxel_index_to_physical_example():
