@@ -193,18 +193,18 @@ def cmd_eval(args) -> int:
 
 def cmd_plan(args) -> int:
     cfg = _load_cfg(args)
-    d, h, w = args.dims
     z_window = _window_depth(args.variant, cfg)
-    plan = tiler.padded_plan(d, cfg.window, cfg.xy_stride, cfg.pad_to, z_window, cfg.z_stride)
+    plan, pads = tiler.padded_plan(args.dims, cfg.window, cfg.xy_stride, cfg.pad_to, z_window, cfg.z_stride)
+    padded = [n + a + b for n, (a, b) in zip(args.dims, pads)]
     oz, oy, ox = plan.origins_z, plan.origins_y, plan.origins_x
-    print(f"volume {d} x {h} x {w}, XY padded to {cfg.pad_to}")
+    print(f"volume {' x '.join(map(str, args.dims))}, padded to {' x '.join(map(str, padded))}")
     print(f"XY windows: {len(oy)} x {len(ox)} (window {cfg.window}, stride {cfg.xy_stride})")
     print(f"Z windows: {len(oz)} (window {z_window}, stride {cfg.z_stride})")
     for axis, origins in (("z", oz), ("y", oy), ("x", ox)):
         txt = " ".join(f"{o}{'*' if clamped else ''}" for o, clamped in origins)
         print(f"{axis} origins: {txt}")
     print("(* = final window clamped to the volume edge)")
-    missed = [f"{axis} {a}-{b - 1}" for axis, a, b in plan.gaps((d, cfg.pad_to, cfg.pad_to))]
+    missed = [f"{axis} {a}-{b - 1}" for axis, a, b in plan.gaps(padded)]
     print(f"gaps: {', '.join(missed) or 'none'}")
     return EXIT_OK
 

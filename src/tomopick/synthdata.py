@@ -93,7 +93,8 @@ def _place_one(rng, spec: SceneSpec, class_id: int, margin: float, placed_xyz) -
         x = (px - DEFAULT_OFFSET) * spec.spacing
         y = (py - DEFAULT_OFFSET) * spec.spacing
         z = (pz - DEFAULT_OFFSET) * spec.spacing
-        if all(
+        # A distance is never negative, so separation 0 accepts without the scan.
+        if not spec.min_separation or all(
             math.dist((x, y, z), other) >= spec.min_separation for other in placed_xyz
         ):
             return PickRecord(class_id, x, y, z)

@@ -8,8 +8,8 @@ Aggregation streams along z. The plan is z-major, so once the z origin moves
 past a row, no later window adds to it. The float64 numerator and denominator
 are therefore held only for a slab of rows, z_window plus the largest z gap
 deep: when the z origin moves on, the finished rows are divided straight into
-the float32 output and the slab slides down. Only the kept (y, x) region is
-written, and an ensemble's last model folds the other models' heatmaps in at
+the float32 output and the slab slides down. Only the kept (z, y, x) region
+is written, and an ensemble's last model folds the other models' heatmaps in at
 each flush. Peak memory for N models is max(1, N - 1) float32 heatmaps of the
 kept region plus a slab of O(C * (z_window + z_stride) * H * W), and the
 plan's coverage of the volume is checked before the first window runs.
@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .volgrid import Heatmap, Volume3D, pad_volume
+from .volgrid import Heatmap, Volume3D
 
 DEFAULT_EDGE_FLOOR = 0.01
 
@@ -79,10 +79,15 @@ class WindowPlan:
         return found
 
 
-def padded_plan(depth, window_hw, xy_stride, pad_to, z_window, z_stride) -> WindowPlan:
-    """The plan `tiled_inference` runs over a volume `depth` deep, XY padded to pad_to."""
-    return WindowPlan.build((depth, pad_to, pad_to), (z_window, window_hw, window_hw),
-                            (z_stride, xy_stride, xy_stride))
+def padded_plan(dims, window_hw, xy_stride, pad_to, z_window, z_stride):
+    """(plan, pads): the plan `tiled_inference` runs over a volume of `dims` padded to
+    (max(D, z_window), pad_to, pad_to), and each axis's centred (before, after) reflect
+    pad, the odd voxel after. `infer` and `plan` both take their pads from here."""
+    if pad_to < max(dims[1:]):
+        raise ValueError(f"pad_to {pad_to} smaller than volume XY {dims[1]}x{dims[2]}")
+    padded = (max(dims[0], z_window), pad_to, pad_to)
+    pads = tuple(((m - n) // 2, m - n - (m - n) // 2) for n, m in zip(dims, padded))
+    return WindowPlan.build(padded, (z_window, window_hw, window_hw), (z_stride, xy_stride, xy_stride)), pads
 
 
 def _axis_tent(length: int, edge_floor: float) -> np.ndarray:
@@ -106,10 +111,11 @@ def aggregate(
     plan: WindowPlan,
     mask: np.ndarray,
     workers: int = 1,
-    *, members: Sequence[Heatmap] = (), keep: tuple[slice, slice] = (slice(None), slice(None)),
+    *, members: Sequence[Heatmap] = (), keep: tuple[slice, slice, slice] = (slice(None),) * 3,
 ) -> Heatmap:
     """Blend-weighted mean of window predictions over the whole volume, kept
-    for the `keep` (y, x) slices of each plane.
+    for the `keep` (z, y, x) slices of step 1: each flush writes only its kept rows'
+    kept (y, x) region, so padding is dropped without a cropped copy.
 
     Workers evaluate windows in parallel; accumulation happens serially in
     plan order into float64 slab accumulators that stream along z. The result
@@ -127,7 +133,7 @@ def aggregate(
         raise ValueError("window plan leaves voxels uncovered")
     vol = volume.values
     origins = list(plan.iter_origins())
-    ys, xs = keep
+    kz, (ys, xs) = range(d)[keep[0]], keep[1:]
 
     def run(origin):
         z, y, x = origin
@@ -151,14 +157,17 @@ def aggregate(
             raise ValueError("window plan leaves voxels uncovered")
         # `ensemble`'s arithmetic on the kept region, this model's float32
         # quotient last; one model divides by 1, which is exact. The flushed
-        # numerator rows hold the sum: the slide below overwrites them.
-        for c, acc in enumerate(num[:, :rows, ys, xs]):
-            np.divide(acc, den[:rows, ys, xs], out=quot[:rows], casting="same_kind")
-            parts = [hm.data[c, base : base + rows] for hm in members] + [quot[:rows]]
+        # numerator rows hold the sum: the slide below overwrites them. Rows
+        # [lo, hi) are the flushed rows that `keep` holds.
+        lo, hi = (min(max(r, kz.start), kz.stop) for r in (base, base + rows))
+        slab, kept = slice(lo - base, hi - base), slice(lo - kz.start, hi - kz.start)
+        for c, acc in enumerate(num[:, slab, ys, xs]):
+            np.divide(acc, den[slab, ys, xs], out=quot[: hi - lo], casting="same_kind")
+            parts = [hm.data[c, kept] for hm in members] + [quot[: hi - lo]]
             acc[...] = parts[0]
             for part in parts[1:]:
                 acc += part
-            np.divide(acc, len(parts), out=out[c, base : base + rows], casting="same_kind")
+            np.divide(acc, len(parts), out=out[c, kept], casting="same_kind")
         # Slide in chunks of `rows` planes, which never overlap, one 3-d array
         # at a time: numpy cannot prove that 4-d views of num do not overlap,
         # and would copy each chunk. The top `rows` planes keep their old
@@ -173,7 +182,7 @@ def aggregate(
     def consume(origin, pred):
         nonlocal num, prod, out, quot
         if num is None:
-            shape = (pred.shape[0], d, *den[0, ys, xs].shape)
+            shape = (pred.shape[0], len(kz), *den[0, ys, xs].shape)
             if any(hm.data.shape != shape for hm in members):
                 raise ValueError("ensemble inputs must share shape")
             num = np.zeros((pred.shape[0], depth, h, w), dtype=np.float64)
@@ -238,16 +247,12 @@ def tiled_inference(
     edge_floor: float = DEFAULT_EDGE_FLOOR,
     workers: int = 1,
 ) -> Heatmap:
-    """Full-volume inference: reflect-pad XY to pad_to, slide windows, blend
-    and average across models into the unpadded region only."""
-    d, h, w = volume.dims
-    if pad_to < max(h, w):
-        raise ValueError(f"pad_to {pad_to} smaller than volume XY {h}x{w}")
-    py0, py1 = (pad_to - h) // 2, pad_to - h - (pad_to - h) // 2
-    px0, px1 = (pad_to - w) // 2, pad_to - w - (pad_to - w) // 2
-    padded = pad_volume(volume, (0, py0, px0), (0, py1, px1))
-    plan = padded_plan(d, window_hw, xy_stride, pad_to, z_window, z_stride)
+    """Full-volume inference: reflect-pad by `padded_plan`'s pads, mirroring without
+    repeating the edge voxel (a pad longer than its axis reflects again), slide
+    windows, and blend and average across models into the unpadded region only."""
+    plan, pads = padded_plan(volume.dims, window_hw, xy_stride, pad_to, z_window, z_stride)
+    padded = Volume3D(np.pad(volume.values, pads, mode="reflect"), volume.spacing)
     mask = blend_mask(plan.window, edge_floor)
-    keep = (slice(py0, py0 + h), slice(px0, px0 + w))
+    keep = tuple(slice(p, p + n) for (p, _), n in zip(pads, volume.dims))
     members = [aggregate(p, padded, plan, mask, workers=workers, keep=keep) for p in predictors[:-1]]
     return aggregate(predictors[-1], padded, plan, mask, workers=workers, members=members, keep=keep)

@@ -1,4 +1,4 @@
-"""Dense 3D/4D grids, the VOL1/HMC1 binary formats, and reflect padding.
+"""Dense 3D/4D grids and the VOL1/HMC1 binary formats.
 
 Volumes are stored z-major: the value at (z, y, x) lives at flat offset
 (z*H + y)*W + x, which is exactly numpy C-order for a (D, H, W) array.
@@ -157,13 +157,3 @@ def read_heatmap(path) -> Heatmap:
 def write_heatmap(hm: Heatmap, path) -> None:
     _write_grid(path, HEATMAP_MAGIC, hm.data, hm.spacing)
 
-
-def pad_volume(vol: Volume3D, pad_before: tuple[int, int, int], pad_after: tuple[int, int, int]) -> Volume3D:
-    """Reflect-pad per axis (z, y, x), mirroring without repeating the edge."""
-    if any(p < 0 for p in pad_before + pad_after):
-        raise ValueError("pads must be >= 0")
-    pads = tuple(zip(pad_before, pad_after))
-    for n, (pb, pa) in zip(vol.dims, pads):
-        if max(pb, pa) >= n:
-            raise ValueError(f"reflect pad {max(pb, pa)} too large for axis of length {n}")
-    return Volume3D(np.pad(vol.values, pads, mode="reflect"), vol.spacing)

@@ -2,14 +2,21 @@
 
 import argparse
 import collections
+import contextlib
+import io
 import os
 import platform
+import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import append_wts_block
 from tomopick import nets
@@ -24,6 +31,7 @@ from tomopick.config import (
     sigma_for_radius,
 )
 from tomopick.coords import ParticleClassSpec
+from tomopick.tiler import tiled_inference
 from tomopick.train import TrainConfig
 from tomopick.volgrid import Volume3D, read_heatmap, read_volume, write_volume
 
@@ -112,6 +120,48 @@ def test_plan_prints_window_counts(capsys):
 def test_plan_variant_b_reads_double_depth_windows(capsys):
     assert run_cli("plan", "--dims", "184", "630", "630", "--variant", "B") == 0
     assert "Z windows: 20 (window 32" in capsys.readouterr().out
+
+
+def test_plan_pads_a_shallow_volume_to_one_z_window(capsys):
+    assert run_cli("plan", "--dims", "8", "32", "32") == 0
+    out = capsys.readouterr().out
+    assert "volume 8 x 32 x 32, padded to 16 x 656 x 656\n" in out
+    assert "Z windows: 1 (window 16" in out
+
+
+def test_plan_and_infer_refuse_a_plane_wider_than_pad_to_alike(tmp_path, small_cfg, capsys):
+    """`plan` does not print a plan that `infer` then refuses."""
+    assert run_cli("plan", "--dims", "16", "32", "80", "--config", small_cfg) == 4
+    plan_err = capsys.readouterr().err
+    vol, ckpt = tmp_path / "wide.vol", tmp_path / "a.wts"
+    write_volume(Volume3D(np.zeros((16, 32, 80), dtype=np.float32), 10.0), vol)
+    nets.save_weights(ckpt, nets.build_net(nets.NetConfig(variant="A", in_depth=16, window_hw=32,
+                                                          widths=(4, 4, 4))))
+    assert run_cli("infer", str(ckpt), "--config", small_cfg, "--widths", "4,4,4",
+                   "--volume", str(vol), "--out", str(tmp_path / "hm.hmc")) == 4
+    assert capsys.readouterr().err == plan_err == "error: pad_to 64 smaller than volume XY 32x80\n"
+
+
+@settings(max_examples=10, deadline=None)
+@given(dims=st.tuples(st.integers(1, 40), st.integers(1, 64), st.integers(1, 64)), variant=st.sampled_from("AB"))
+def test_plan_window_counts_are_the_predictor_calls_of_inference(dims, variant):
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        (Path(tmp) / "small.cfg").write_text(SMALL_CFG)
+        argv = ("--dims", *map(str, dims), "--variant", variant, "--config", str(Path(tmp) / "small.cfg"))
+        assert run_cli("plan", *argv) == 0
+    ny, nx = map(int, re.search(r"XY windows: (\d+) x (\d+)", out.getvalue()).groups())
+    nz = int(re.search(r"Z windows: (\d+)", out.getvalue()).group(1))
+    cfg, calls = parse_config(SMALL_CFG), []
+
+    def predict(win):
+        calls.append(win.shape)
+        return win[None]
+
+    z_window = cfg.z_window * (1 if variant == "A" else 2)
+    tiled_inference([predict], Volume3D(np.zeros(dims, dtype=np.float32)), window_hw=cfg.window,
+                    xy_stride=cfg.xy_stride, pad_to=cfg.pad_to, z_window=z_window, z_stride=cfg.z_stride)
+    assert len(calls) == nz * ny * nx
 
 
 def test_plan_marks_clamped_origin(capsys):

@@ -65,6 +65,16 @@ def test_min_separation_pairwise():
         assert math.dist(p, q) >= 60.0
 
 
+def test_zero_separation_places_as_a_tiny_one_does():
+    """Separation 0 skips the pairwise scan; the random stream, the picks and
+    the volume are those of a separation no two picks come near."""
+    base = dict(dims=(24, 32, 32), classes=two_classes(), counts=(20, 20), noise_sigma=0.1, seed=3)
+    v0, p0 = generate_tomogram(SceneSpec(min_separation=0.0, **base))
+    v1, p1 = generate_tomogram(SceneSpec(min_separation=1e-9, **base))
+    assert p0.records == p1.records
+    assert v0.values.tobytes() == v1.values.tobytes()
+
+
 def test_picks_inside_margin():
     spec = SceneSpec((24, 24, 24), two_classes(), (3, 3), seed=2, min_separation=30.0)
     _, picks = generate_tomogram(spec)

@@ -16,7 +16,7 @@ from tomopick.tiler import (
     plan_axis,
     tiled_inference,
 )
-from tomopick.volgrid import Heatmap, Volume3D, pad_volume
+from tomopick.volgrid import Heatmap, Volume3D
 
 
 def origins(plan):
@@ -340,7 +340,8 @@ def _aggregate_each_then_ensemble(predictors, volume, pad_to, window, strides, m
     cropped, then averaged by `ensemble` in a separate pass."""
     d, h, w = volume.dims
     py0, px0 = (pad_to - h) // 2, (pad_to - w) // 2
-    padded = pad_volume(volume, (0, py0, px0), (0, pad_to - h - py0, pad_to - w - px0))
+    pads = ((0, 0), (py0, pad_to - h - py0), (px0, pad_to - w - px0))
+    padded = Volume3D(np.pad(volume.values, pads, mode="reflect"))
     plan = WindowPlan.build(padded.dims, window, strides)
     crops = [_full_volume_aggregate(p, padded, plan, mask) for p in predictors]
     return ensemble([Heatmap(c[:, :, py0 : py0 + h, px0 : px0 + w]) for c in crops]).data
@@ -381,6 +382,51 @@ def test_tiled_inference_folds_ensemble_bit_identically(models, channels, dims, 
                           z_stride=sz, edge_floor=edge_floor, workers=workers)
     assert got.data.shape == want.shape
     assert got.data.tobytes() == want.tobytes()
+
+
+def _mirror(i: int, n: int) -> int:
+    """Index into an axis of length n of position i of its reflection, which
+    repeats no edge voxel: ... 2 1 | 0 1 2 ... n-1 | n-2 ..."""
+    period = max(1, 2 * (n - 1))
+    i %= period
+    return i if i < n else period - i
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 10), st.integers(1, 14), st.integers(1, 14)),
+    edge_floor=st.floats(0.001, 1.0),
+    data=st.data(),
+)
+def test_tiled_inference_of_pointwise_predictors_is_their_ensemble(dims, edge_floor, data):
+    """For pointwise predictors the heatmap is the ensemble of the predictors
+    applied to the unpadded volume, byte for byte, whatever the pads: Z
+    shallower than the window, XY under half of pad_to, or pads longer than
+    the axis they mirror. The first window holds the volume mirrored about
+    each axis's edge voxel, centred in the padded plan."""
+    d, h, w = dims
+    pad_to = data.draw(st.integers(max(h, w), 2 * max(h, w) + 12), label="pad_to")
+    whw = data.draw(st.integers(1, pad_to), label="window_hw")
+    wz = data.draw(st.integers(1, d + 6), label="z_window")
+    sxy, sz = data.draw(st.integers(1, whw), label="xy_stride"), data.draw(st.integers(1, wz), label="z_stride")
+    vol = Volume3D(np.random.default_rng(d * h * w).random(dims).astype(np.float32))
+    windows = []
+
+    def first(win):
+        windows.append(win.copy())
+        return np.stack([win * win, win * np.float32(0.5) + np.float32(0.25)])
+
+    def second(win):
+        return np.stack([win - np.float32(1.0), win * np.float32(3.0)])
+
+    got = tiled_inference([first, second], vol, window_hw=whw, xy_stride=sxy, pad_to=pad_to,
+                          z_window=wz, z_stride=sz, edge_floor=edge_floor)
+    want = ensemble([Heatmap(first(vol.values)), Heatmap(second(vol.values))])
+    assert got.data.shape == want.data.shape
+    assert got.data.tobytes() == want.data.tobytes()
+    starts = [(m - n) // 2 for n, m in zip(dims, (max(d, wz), pad_to, pad_to))]
+    at = [[_mirror(i - s, n) for i in range(k)] for s, n, k in zip(starts, dims, (wz, whw, whw))]
+    assert windows[0].tobytes() == vol.values[np.ix_(*at)].tobytes()
 
 
 def test_aggregate_rejects_members_of_another_shape():

@@ -1,15 +1,13 @@
-"""VOL1/HMC1 round trips, format rejection, and padding."""
+"""VOL1/HMC1 round trips, format rejection, and the padding of a 630-voxel plane."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from tomopick.tiler import padded_plan
 from tomopick.volgrid import (
     Heatmap,
     Volume3D,
     VolumeError,
-    pad_volume,
     read_heatmap,
     read_volume,
     write_heatmap,
@@ -134,42 +132,6 @@ def test_volume_rejects_bad_spacing():
         Volume3D(np.zeros((2, 2, 2), dtype=np.float32), spacing=0.0)
 
 
-# --- padding -----------------------------------------------------------------
-
-
-def test_pad_630_to_656():
-    v = Volume3D(np.zeros((2, 630, 630), dtype=np.float32))
-    padded = pad_volume(v, (0, 13, 13), (0, 13, 13))
-    assert padded.dims == (2, 656, 656)
-
-
-def test_reflect_pad_does_not_repeat_edge():
-    row = np.array([[[1.0, 2.0, 3.0]]], dtype=np.float32)  # [a, b, c]
-    padded = pad_volume(Volume3D(row), (0, 0, 1), (0, 0, 1))
-    assert padded.values[0, 0].tolist() == [2.0, 1.0, 2.0, 3.0, 2.0]
-
-
-def test_reflect_pad_too_large():
-    v = Volume3D(np.zeros((2, 2, 2), dtype=np.float32))
-    with pytest.raises(ValueError):
-        pad_volume(v, (2, 0, 0), (0, 0, 0))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    dims=st.tuples(*[st.integers(2, 6)] * 3),
-    pads=st.tuples(*[st.integers(0, 1)] * 6),
-    seed=st.integers(0, 2**16),
-)
-def test_pad_then_crop_is_identity(dims, pads, seed):
-    rng = np.random.default_rng(seed)
-    v = Volume3D(rng.normal(size=dims).astype(np.float32))
-    before, after = pads[:3], pads[3:]
-    padded = pad_volume(v, before, after)
-    (z, y, x), (d, h, w) = before, dims
-    assert Volume3D(padded.values[z : z + d, y : y + h, x : x + w]) == v
-
-
 def test_read_heatmap_peaks_at_one_payload(tmp_path):
     """The payload is read straight into the returned array: no bytes object
     and no converted copy beside it."""
@@ -202,3 +164,13 @@ def test_header_claiming_more_than_the_file_is_truncated(tmp_path, magic, dims, 
     path.write_bytes(header + bytes(100 - len(header)))
     with pytest.raises(VolumeError, match="truncated while reading payload"):
         reader(path)
+
+
+# --- padding -----------------------------------------------------------------
+
+
+def test_pad_630_to_656():
+    """A 630-voxel plane is padded by 13 voxels on each side to the default pad_to 656."""
+    plan, pads = padded_plan((16, 630, 630), 128, 48, 656, 16, 8)
+    assert pads == ((0, 0), (13, 13), (13, 13))
+    assert (len(plan.origins_y), len(plan.origins_x)) == (12, 12)
