@@ -1,9 +1,11 @@
-"""VOL1/HMC1 round trips, format rejection, and the padding of a 630-voxel plane."""
+"""VOL1/HMC1 round trips, format rejection, and the reflect padding of inference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tomopick.tiler import padded_plan
+from tomopick.tiler import padded_plan, tiled_inference
 from tomopick.volgrid import (
     Heatmap,
     Volume3D,
@@ -174,3 +176,33 @@ def test_pad_630_to_656():
     plan, pads = padded_plan((16, 630, 630), 128, 48, 656, 16, 8)
     assert pads == ((0, 0), (13, 13), (13, 13))
     assert (len(plan.origins_y), len(plan.origins_x)) == (12, 12)
+
+
+def test_reflect_pad_does_not_repeat_edge():
+    """A row [a, b, c] padded to 5 mirrors about its edge voxels: [b, a, b, c, b]."""
+    row = Volume3D(np.array([[[1.0, 2.0, 3.0]]], dtype=np.float32))
+    windows = []
+
+    def record(win):
+        windows.append(win.copy())
+        return win[None]
+
+    tiled_inference([record], row, window_hw=5, xy_stride=5, pad_to=5, z_window=1, z_stride=1)
+    assert windows[0][0, 2].tolist() == [2.0, 1.0, 2.0, 3.0, 2.0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(2, 6)] * 3),
+    extra=st.tuples(*[st.integers(0, 2)] * 2),
+    seed=st.integers(0, 2**16),
+)
+def test_pad_then_crop_is_identity(dims, extra, seed):
+    """An identity predictor over the padded volume gives back the volume: the
+    pads `padded_plan` adds on every axis are cropped away exactly."""
+    rng = np.random.default_rng(seed)
+    v = Volume3D(rng.normal(size=dims).astype(np.float32))
+    pad_to, z_window = max(dims[1:]) + extra[0], dims[0] + extra[1]
+    hm = tiled_inference([lambda win: win[None]], v, window_hw=2, xy_stride=1, pad_to=pad_to,
+                         z_window=z_window, z_stride=1)
+    assert hm.data.tobytes() == v.values.tobytes()
