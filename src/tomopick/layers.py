@@ -10,6 +10,13 @@ train=False)` is the inference mode: it returns the same values but writes no
 attribute on any layer, so it keeps no activations alive, a following backward
 raises `MissingForwardCacheError`, and one net can serve several threads.
 
+A training forward keeps one copy of each conv input. A `Conv` caches its
+flat row, which for an unpadded stride-1 conv (1x1x1) is its input itself;
+the fusion block's three dilated branches share one reference to the
+block's input, and an upsampling conv keeps its low-res input, each
+rebuilding its padded row in backward. Since a cache can alias a layer's
+input, no layer writes into its input.
+
 One anisotropic `Conv` serves as per-slice 2D conv, strided depth conv and
 dense (dilated) 3D conv, on a flat phase layout of the padded input for any
 stride. Its backward runs one matrix product per kernel tap, and so does the
@@ -191,11 +198,13 @@ class Conv(Layer):
     Phase layout: each stride-s axis of the padded input splits into s phases
     (every s-th element), and the phase grids lie end to end in one flat row
     per channel (for stride 1, the padded input), followed by the zeros that
-    keep every tap's slice in bounds. Tap t of an axis reads phase p at shift
-    q, (q, p) = divmod((o + t * dilation - pad) // f + pad, s), so each tap is
-    one column offset into the row; o = 0 and f = 1 but in a fold (below). The
-    backward runs one (cout, cin) product per tap and its adjoint over the same
-    offsets, and so does the forward, cropped once, where it selects no runs.
+    keep every tap's slice in bounds; a stride-1 conv that needs neither pads
+    nor zeros (1x1x1) uses its input as the row, with no copy. Tap t of an
+    axis reads phase p at shift q, (q, p) = divmod((o + t * dilation - pad) //
+    f + pad, s), so each tap is one column offset into the row; o = 0 and
+    f = 1 but in a fold (below). The backward runs one (cout, cin) product per
+    tap and its adjoint over the same offsets, and so does the forward,
+    cropped once, where it selects no runs.
 
     Other forwards take the kn2row form of convolution as GEMM (Vasudevan,
     Anderson and Gregg, ASAP 2017; `_stacked`): a run's taps, which read one
@@ -223,6 +232,11 @@ class Conv(Layer):
     strided slots. With more than one output channel (one is a gemv in the
     chain) that has the bytes of upsample_nearest then the conv, and the
     backward is that chain's.
+
+    A training forward caches (row, input shape), or (None, input) where the
+    row would cost more memory than the input: a fold caches its low-res
+    input, and `FusionBlock` sets its branches' caches to its own input. The
+    backward then rebuilds the row, which gives the same bytes.
     """
 
     def __init__(self, cin, cout, kernel, stride=(1, 1, 1), dilation=1, rng=None, dtype=np.float32, upsample=(1, 1, 1)):
@@ -245,8 +259,12 @@ class Conv(Layer):
         return conv_geometry(self.cin, self.cout, self.kernel, self.stride, self.pad, self.dilation, dims, factors)
 
     def _row(self, x, factors=(1, 1, 1)):
-        """x's flat phase row (see above) and the geometry, folding `factors`."""
+        """x's flat phase row (see above) and the geometry, folding `factors`.
+        A row of one phase with no padding or tail is x itself, reshaped: a
+        view of x when x is C-contiguous."""
         geometry = _, _, _, view, size, _, phases, _ = self._geometry(x.shape[1:], factors)
+        if len(phases) == 1 and size == x[0].size:
+            return x.reshape(self.cin, size), geometry
         flat = np.zeros((self.cin, size), dtype=x.dtype)
         grids = flat[:, : math.prod(view[1:])].reshape(view)
         for phase, src in phases:
@@ -285,7 +303,7 @@ class Conv(Layer):
 
     def backward(self, gy):
         flat, xshape = self._take_cache()
-        if flat is None:  # an upsampling conv's low-res input: the two-layer chain's backward
+        if flat is None:  # the input in place of its row (a fold's is low-res): rebuild the row
             x = upsample_nearest(xshape, self.upsample)
             flat, xshape = self._row(x)[0], x.shape
         out, grid, n, view, _, taps, phases, _ = self._geometry(xshape[1:])
@@ -473,7 +491,11 @@ class SCSEBlock(Layer):
 class FusionBlock(Layer):
     """Multi-scale fusion: upsample all inputs to the finest one, concatenate,
     run parallel dilated 3x3x3 convolutions (dilations 1/2/4), concatenate, and
-    project with a 1x1x1 convolution."""
+    project with a 1x1x1 convolution.
+
+    In training the three branches cache one reference to the concatenated
+    input, not three padded rows (each larger than the input), and each
+    branch's backward rebuilds its row from it (see `Conv`)."""
 
     DILATIONS = (1, 2, 4)
 
@@ -498,10 +520,12 @@ class FusionBlock(Layer):
             if any(fi < 1 or fi * s != t for fi, s, t in zip(f, x.shape[1:], target)):
                 raise ValueError(f"dims {x.shape[1:]} not an integer divisor of {target}")
         cat = np.concatenate([upsample_nearest(x, f) for x, f in zip(xs, factors)], axis=0)
-        outs = [act.forward(br.forward(cat, train), train) for br, act in zip(self.branches, self.acts)]
+        outs = [act.forward(br.forward(cat, False), train) for br, act in zip(self.branches, self.acts)]
         y = self.proj.forward(np.concatenate(outs, axis=0), train)
         if train:
             self._cache = factors
+            for br in self.branches:  # one shared input, not three padded rows
+                br._cache = (None, cat)
         return y
 
     def backward(self, gy):

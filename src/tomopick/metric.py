@@ -15,6 +15,7 @@ import numpy as np
 from .coords import ParticleClassSpec, PickSet
 
 DEFAULT_BETA = 4.0
+_NEIGHBOURS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
 
 
 @dataclass(frozen=True)
@@ -30,14 +31,24 @@ def match_class(
     gts: list[tuple[float, float, float]],
     tau: float,
 ) -> MatchResult:
+    """Greedy matching (see above). Each prediction is measured only against
+    the ground truths in its cell's 3x3x3 block. Cells are a little wider than
+    tau, and float floor division is exact, so a pair whose rounded distance
+    is tau still lies in one cell or two adjacent ones."""
     if tau <= 0:
         raise ValueError("tau must be > 0")
+    side = tau * (1 + 1e-9)
+    cells = defaultdict(list)
+    for gi, g in enumerate(gts):
+        cells[tuple(c // side for c in g)].append(gi)
     candidates = []
     for pi, p in enumerate(preds):
-        for gi, g in enumerate(gts):
-            d = math.dist(p, g)
-            if d <= tau:
-                candidates.append((d, pi, gi))
+        cx, cy, cz = (c // side for c in p)
+        for dx, dy, dz in _NEIGHBOURS:
+            for gi in cells.get((cx + dx, cy + dy, cz + dz), ()):
+                d = math.dist(p, gts[gi])
+                if d <= tau:
+                    candidates.append((d, pi, gi))
     candidates.sort()
     pred_used = [False] * len(preds)
     gt_used = [False] * len(gts)

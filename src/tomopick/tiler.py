@@ -86,8 +86,13 @@ def padded_plan(dims, window_hw, xy_stride, pad_to, z_window, z_stride):
     if pad_to < max(dims[1:]):
         raise ValueError(f"pad_to {pad_to} smaller than volume XY {dims[1]}x{dims[2]}")
     padded = (max(dims[0], z_window), pad_to, pad_to)
-    pads = tuple(((m - n) // 2, m - n - (m - n) // 2) for n, m in zip(dims, padded))
-    return WindowPlan.build(padded, (z_window, window_hw, window_hw), (z_stride, xy_stride, xy_stride)), pads
+    plan = WindowPlan.build(padded, (z_window, window_hw, window_hw), (z_stride, xy_stride, xy_stride))
+    return plan, centred_pads(dims, padded)
+
+
+def centred_pads(dims, padded):
+    """Each axis's centred (before, after) pad from `dims` to `padded`, the odd voxel after."""
+    return tuple(((m - n) // 2, m - n - (m - n) // 2) for n, m in zip(dims, padded))
 
 
 def _axis_tent(length: int, edge_floor: float) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from .coords import rasterize_heatmap
 from .losses import LOSSES
 from .nets import ToyNet
-from .tiler import WindowPlan
+from .tiler import WindowPlan, centred_pads
 
 
 class TrainingDivergedError(RuntimeError):
@@ -47,15 +47,21 @@ class TrainConfig:
 
 def scene_windows(volume, picks, cfg, ncfg):
     """Cut a scene into non-overlapping windows with rasterized targets; keep
-    windows that contain signal, plus one background window."""
-    target = rasterize_heatmap(picks, list(cfg.classes), volume.dims, offset=cfg.offset)
+    windows that contain signal, plus one background window. An axis shorter
+    than the window is reflect-padded up to it, volume and target alike, by
+    the tiler's rule (`tiler.centred_pads`)."""
     window = (ncfg.in_depth, ncfg.window_hw, ncfg.window_hw)
-    plan = WindowPlan.build(volume.dims, window, window)
+    padded = tuple(map(max, volume.dims, window))
+    pads = centred_pads(volume.dims, padded)
+    values = np.pad(volume.values, pads, mode="reflect")
+    target = rasterize_heatmap(picks, list(cfg.classes), volume.dims, offset=cfg.offset)
+    target = np.pad(target.data, ((0, 0),) + pads, mode="reflect")
+    plan = WindowPlan.build(padded, window, window)
     out = []
     background = None
     for z, y, x in plan.iter_origins():
-        win = volume.values[z : z + window[0], y : y + window[1], x : x + window[2]]
-        tgt = target.data[:, z : z + window[0], y : y + window[1], x : x + window[2]]
+        win = values[z : z + window[0], y : y + window[1], x : x + window[2]]
+        tgt = target[:, z : z + window[0], y : y + window[1], x : x + window[2]]
         if tgt.max() >= 0.5:
             out.append((win, tgt))
         elif background is None:

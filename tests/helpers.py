@@ -172,6 +172,30 @@ def materialized_upsamples(net):
             up.factors, conv.upsample = (1, 1, 1), factors
 
 
+def brute_match_class(preds, gts, tau):
+    """`metric.match_class` over every prediction-truth pair: the same
+    distances, threshold test and greedy (d, pred, gt) order."""
+    from tomopick.metric import MatchResult
+
+    candidates = []
+    for pi, p in enumerate(preds):
+        for gi, g in enumerate(gts):
+            d = math.dist(p, g)
+            if d <= tau:
+                candidates.append((d, pi, gi))
+    candidates.sort()
+    pred_used = [False] * len(preds)
+    gt_used = [False] * len(gts)
+    pairs = []
+    for d, pi, gi in candidates:
+        if not pred_used[pi] and not gt_used[gi]:
+            pred_used[pi] = True
+            gt_used[gi] = True
+            pairs.append((pi, gi, d))
+    tp = len(pairs)
+    return MatchResult(tp, len(preds) - tp, len(gts) - tp, tuple(pairs))
+
+
 def optimal_match_tp(preds, gts, tau):
     """Maximum-cardinality, minimum-total-distance matching by exhaustive
     recursion; returns the optimal true-positive count."""

@@ -493,6 +493,19 @@ def test_strided_depth_pool_checkpoint_can_be_inferred(tmp_path):
     assert read_heatmap(out).data.shape == (1, 16, 32, 32)
 
 
+def test_train_on_a_scene_smaller_than_the_window(tmp_path, small_cfg, capsys):
+    """An 8x16x16 scene under window 32 and z_window 16 is reflect-padded up
+    to one 16x32x32 window, which train keeps as its background window."""
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    assert run_cli("gen", "--config", small_cfg, "--seed", "1", "--dims", "8", "16", "16", "--counts", "blob=0",
+                   "--out-volume", str(scenes / "s.vol"), "--out-picks", str(scenes / "s.picks")) == 0
+    ckpt = tmp_path / "m.wts"
+    assert run_cli("train", "--config", small_cfg, "--data", str(scenes), "--out", str(ckpt), "--variant", "A",
+                   "--widths", "4,4,4", "--epochs", "1", "--warmup-epochs", "0") == 0
+    assert "trained on 1 windows" in capsys.readouterr().out and ckpt.exists()
+
+
 @pytest.mark.parametrize("argv", [
     *[("plan", "--dims", "64", "64", "64", *bad) for bad in (("--xy-stride", "0"), ("--xy-stride", "-1"))],
     ("plan", "--dims", "64", "-8", "64"),

@@ -207,6 +207,20 @@ def test_conv3d_1x1_projection_gradients():
     layer_fd_check(conv, RNG.normal(size=(3, 2, 3, 3)))
 
 
+def test_stride_1_pointwise_conv_caches_its_input_as_its_row():
+    """A stride-1 1x1x1 conv's row is its input: a training forward caches a
+    view of it, not a zero-filled copy. A strided 1x1x1 conv still builds its
+    phase row. Neither forward nor backward writes into the input."""
+    x = RNG.normal(size=(4, 3, 4, 5))
+    kept = x.copy()
+    for stride, shared in (((1, 1, 1), True), ((1, 2, 1), False)):
+        conv = L.Conv(4, 2, (1, 1, 1), stride, rng=rng64(), dtype=np.float64)
+        y = conv.forward(x)
+        assert np.shares_memory(conv._cache[0], x) == shared
+        conv.backward(np.ones_like(y))
+        np.testing.assert_array_equal(x, kept)
+
+
 # --- convolution: every configuration the nets use, on odd-sized inputs -------
 
 NET_CONVS = {

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tomopick.coords import ParticleClassSpec, PickRecord, PickSet
 from tomopick.metric import evaluate, fbeta, match_class, weighted_score
 
-from helpers import optimal_match_tp
+from helpers import brute_match_class, optimal_match_tp
 
 
 def test_fbeta_half_precision_full_recall():
@@ -124,6 +124,38 @@ def test_greedy_matches_optimal_when_candidates_unique(seed, np_, ng):
             preds.append(tuple(map(float, rng.uniform(0, 6 * step, 3))))
     m = match_class(preds, gts, tau)
     assert m.tp == optimal_match_tp(preds, gts, tau)
+
+
+def _points(draw, n, tau, scale):
+    """n points of coordinates in [-scale, scale] as multiples of tau / 4,
+    some repeated and some moved exactly tau along one axis, so pairs at
+    distance tau, ties and duplicates are common."""
+    coord = st.integers(-round(scale * 4 / tau), round(scale * 4 / tau)).map(lambda k: k * tau / 4)
+    points = draw(st.lists(st.tuples(coord, coord, coord), max_size=n))
+    for i in range(len(points)):
+        kind = draw(st.sampled_from(("keep", "repeat", "axis")))
+        if kind != "keep" and i:
+            base = list(points[draw(st.integers(0, i - 1))])
+            if kind == "axis":
+                axis = draw(st.integers(0, 2))
+                base[axis] += draw(st.sampled_from((-tau, tau)))
+            points[i] = tuple(base)
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), tau=st.floats(1e-3, 1e4), scale=st.sampled_from((1.0, 3.0, 1e3)))
+def test_grid_matching_equals_the_pairwise_loop(data, tau, scale):
+    """Duplicates, pairs exactly tau apart along an axis (which float rounding
+    puts on either side of tau), negative coordinates and tau from 1e-3 to 1e4:
+    the same MatchResult, distances and order included, as the loop over all
+    pairs."""
+    scale *= tau
+    preds = _points(data.draw, 12, tau, scale)
+    gts = _points(data.draw, 12, tau, scale)
+    if gts and data.draw(st.booleans()):  # predictions near the truths
+        preds += [tuple(c + data.draw(st.sampled_from((-tau, 0.0, tau / 2, tau))) for c in g) for g in gts]
+    assert match_class(preds, gts, tau) == brute_match_class(preds, gts, tau)
 
 
 def test_weighted_score_example():

@@ -1,5 +1,6 @@
 """Shape contracts, determinism, checkpoints, and whole-net gradient checks."""
 
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -171,30 +172,54 @@ def test_a_window_stacked_runs_match_the_per_tap_loop(strided, dtype):
     assert_same_bytes(got, want)
 
 
-@pytest.mark.parametrize("cfg, stacked, folded", [
+@pytest.mark.parametrize("cfg, stacked, inputs", [
     (B_WINDOW, {"fusion.branch0", "fusion.branch1", "fusion.branch2", "dec0.conv", "dec2.conv"},
-     {"dec1.conv": (16, 8, 32, 32)}),
+     {"dec1.conv": (16, 8, 32, 32), **{f"fusion.branch{i}": (80, 8, 32, 32) for i in range(3)}}),
     (A_WINDOW, {"bott"}, {}),
 ], ids=["B", "A"])
-def test_convs_that_stack_runs_at_the_benchmark_windows(cfg, stacked, folded):
-    """Read from each conv's cache after a training forward. dec1.conv folds
-    the (2, 2, 2) upsample: it caches only its input, on the fusion grid, and
-    its geometry holds 3 runs, one per kernel plane, of 9 taps, each tap with
-    a shift for each of the 8 output phases. Of the other convs, which cache
-    their input shape, exactly the 3x3x3 convs stack runs of more than one
-    tap (a kernel plane): those of the B window, and the A window's `bott`,
-    whose grid has only 400 columns."""
+def test_convs_that_stack_runs_at_the_benchmark_windows(cfg, stacked, inputs):
+    """Read from each conv's cache after a training forward. The convs in
+    `inputs` cache their input in place of their row: the fusion branches
+    share the block's one input, and dec1.conv, which folds the (2, 2, 2)
+    upsample, caches its input on the fusion grid. dec1.conv's geometry holds
+    3 runs, one per kernel plane, of 9 taps, each tap with a shift for each of
+    the 8 output phases. Of the other convs, exactly the 3x3x3 convs stack
+    runs of more than one tap (a kernel plane): those of the B window, and the
+    A window's `bott`, whose grid has only 400 columns."""
     net = nets.build_net(cfg)
     net.forward(window_input(cfg))
     convs = dict(named_convs(net))
-    assert {name: conv._cache[1].shape for name, conv in convs.items() if conv._cache[0] is None} == folded
-    for name, shape in folded.items():
-        runs = convs[name]._geometry(shape[1:], (2, 2, 2))[-1]
+    cached = {name: conv._cache[1] for name, conv in convs.items() if conv._cache[0] is None}
+    assert {name: x.shape for name, x in cached.items()} == inputs
+    assert len({id(x) for name, x in cached.items() if name.startswith("fusion.")}) <= 1
+    folded = {name for name, conv in convs.items() if conv.upsample != (1, 1, 1)}
+    assert folded <= inputs.keys()
+    for name in folded:
+        runs = convs[name]._geometry(inputs[name][1:], (2, 2, 2))[-1]
         assert [(len(index), [len(s) for s in shifts]) for index, _, shifts, _ in runs] == [(9, [9] * 8)] * 3
-    taps = {name: [len(run[0]) for run in conv._geometry(conv._cache[1][1:])[-1]]
+    shapes = {name: inputs.get(name) or conv._cache[1] for name, conv in convs.items()}
+    taps = {name: [len(run[0]) for run in conv._geometry(shapes[name][1:])[-1]]
             for name, conv in convs.items() if name not in folded}
     assert {name for name, t in taps.items() if t} == stacked
     assert all(t == [9, 9, 9] for name, t in taps.items() if name in stacked)
+
+
+def test_b_training_forward_holds_one_copy_of_each_conv_input():
+    """After a training forward at the B window, the caches and the output hold
+    at most 45 MB (tracemalloc). The fusion branches share the block's input
+    and rebuild their padded rows in backward, and the 1x1x1 convs cache their
+    input as their row; a padded row per branch and a copied row per 1x1x1
+    conv would hold 54.7 MB."""
+    net = nets.build_net(B_WINDOW)
+    x = window_input(B_WINDOW)
+    tracemalloc.start()
+    try:
+        y = net.forward(x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (6, 16, 64, 64)
+    assert held <= 45 << 20
 
 
 def test_zero_upstream_grad_gives_zero_param_grads():

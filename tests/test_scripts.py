@@ -26,6 +26,20 @@ def test_paper_scale_memory_runs_at_a_tiny_size(tmp_path):
     assert (tmp_path / "heatmap.picks").read_text().startswith("class,x,y,z,score")
 
 
+def test_train_step_profile_runs_at_a_tiny_window():
+    """One line per variant with its window, a step time and three tracemalloc
+    figures; no timing is asserted."""
+    argv = [sys.executable, str(SCRIPTS / "train_step_profile.py"), "--steps", "1",
+            "--a-window", "8", "16", "--b-window", "8", "16"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=60).stdout
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [(line["variant"], line["window"], line["steps"]) for line in lines] == [("A", [8, 16, 16], 1),
+                                                                                   ("B", [8, 16, 16], 1)]
+    for line in lines:
+        assert line["step_ms"] > 0
+        assert 0 < line["forward_held_mb"] <= min(line["forward_peak_mb"], line["backward_peak_mb"])
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

@@ -163,3 +163,22 @@ def test_scene_windows_keeps_one_background_window_only_when_none_holds_signal()
     ((win, tgt),) = scene_windows(volume, PickSet((pick,), 10.0), cfg, ncfg)
     np.testing.assert_array_equal(win, values[8:, 16:, 16:])
     assert tgt.max() >= 0.5
+    target = rasterize_heatmap(PickSet((pick,), 10.0), list(cfg.classes), volume.dims, offset=cfg.offset)
+    np.testing.assert_array_equal(tgt, target.data[:, 8:, 16:, 16:])
+
+
+def test_scene_windows_reflect_pad_axes_shorter_than_the_window():
+    """A 5x10x16 scene under an 8x16x16 window is one window: the volume and
+    the target reflect-padded up to it with centred pads, the odd voxel
+    after, as the tiler pads a volume for inference."""
+    cfg = PipelineConfig(spacing=10.0, classes=(ParticleClassSpec("a", radius=40.0, sigma_vox=2.0),))
+    ncfg = nets.NetConfig(in_depth=8, window_hw=16)
+    values = np.random.default_rng(3).normal(size=(5, 10, 16)).astype(np.float32)
+    volume = Volume3D(values, spacing=10.0)
+    picks = PickSet((PickRecord(0, x=85.0, y=45.0, z=25.0),), 10.0)
+    ((win, tgt),) = scene_windows(volume, picks, cfg, ncfg)
+    pads = ((1, 2), (3, 3), (0, 0))
+    np.testing.assert_array_equal(win, np.pad(values, pads, mode="reflect"))
+    target = rasterize_heatmap(picks, list(cfg.classes), volume.dims, offset=cfg.offset).data
+    np.testing.assert_array_equal(tgt, np.pad(target, ((0, 0),) + pads, mode="reflect"))
+    assert tgt.max() >= 0.5
