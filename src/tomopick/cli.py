@@ -1,5 +1,7 @@
 """Command-line front end: gen, rasterize, train, infer, pick, eval, plan.
 
+`run` loads the config and calls `cmd_<command>(args, cfg)`, looked up by name at each call.
+
 Exit codes: 0 success, 2 usage error (argparse), 3 configuration error,
 4 data/runtime error.
 """
@@ -86,8 +88,7 @@ def class_counts(text: str) -> tuple[tuple[str, int], ...]:
     return tuple((name, int(num)) for name, num in pairs)
 
 
-def cmd_gen(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_gen(args, cfg: PipelineConfig) -> int:
     with _config_values():
         spec = SceneSpec(dims=tuple(args.dims), classes=cfg.classes,
                          counts=_counts_per_class(args.counts, cfg), noise_sigma=args.noise_sigma,
@@ -99,8 +100,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_rasterize(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_rasterize(args, cfg: PipelineConfig) -> int:
     picks = read_picks(args.picks, list(cfg.classes), cfg.spacing)
     hm = rasterize_heatmap(picks, list(cfg.classes), tuple(args.dims), offset=cfg.offset)
     write_heatmap(hm, args.out)
@@ -108,8 +108,7 @@ def cmd_rasterize(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_train(args, cfg: PipelineConfig) -> int:
     ncfg = _net_config(args, cfg)
     with _config_values():
         tcfg = train_mod.TrainConfig(**_given(args, train_mod.TrainConfig))
@@ -138,8 +137,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_infer(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_infer(args, cfg: PipelineConfig) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     ncfg = _net_config(args, cfg)
@@ -162,8 +160,7 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def cmd_pick(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_pick(args, cfg: PipelineConfig) -> int:
     hm = read_heatmap(args.heatmap)
     picks = postproc.extract_picks(hm, list(cfg.classes), kernel=cfg.nms_kernel, offset=cfg.offset)
     write_picks(picks, list(cfg.classes), args.out)
@@ -171,8 +168,7 @@ def cmd_pick(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_eval(args, cfg: PipelineConfig) -> int:
     preds = read_picks(args.pred, list(cfg.classes), cfg.spacing)
     gts = read_picks(args.gt, list(cfg.classes), cfg.spacing)
     ev = metric.evaluate(preds, gts, list(cfg.classes))
@@ -191,8 +187,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_plan(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_plan(args, cfg: PipelineConfig) -> int:
     z_window = _window_depth(args.variant, cfg)
     plan, pads = tiler.padded_plan(args.dims, cfg.window, cfg.xy_stride, cfg.pad_to, z_window, cfg.z_stride)
     padded = [n + a + b for n, (a, b) in zip(args.dims, pads)]
@@ -209,6 +204,7 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tomopick", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -229,14 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-separation", type=float, default=0.0)
     p.add_argument("--out-volume", required=True)
     p.add_argument("--out-picks", required=True)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("rasterize", help="rasterize picks into a target heatmap")
     common(p, offset=True)
     p.add_argument("--picks", required=True)
     p.add_argument("--dims", type=int, nargs=3, required=True, metavar=("D", "H", "W"))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rasterize)
 
     def net_flags(p):
         p.add_argument("--variant", choices=["A", "B"], default=nets.NetConfig.variant)
@@ -258,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-hw", dest="window", type=int, default=None, help="override tiling.window")
     p.add_argument("--use-ema", action="store_true", help="save EMA weights instead of raw")
     p.add_argument("--out", required=True, help="output WTS1 checkpoint")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="tiled sliding-window inference")
     common(p)
@@ -270,19 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xy-stride", type=int, default=None, help="override tiling.xy_stride")
     p.add_argument("--edge-floor", type=float, default=None, help="override blend.edge_floor")
     p.add_argument("--no-blend-weight", action="store_true", help="uniform weights: blend edge floor 1")
-    p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("pick", help="extract picks from a heatmap")
     common(p, offset=True)
     p.add_argument("--heatmap", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pick)
 
     p = sub.add_parser("eval", help="score predicted picks against ground truth")
     common(p)
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("plan", help="print the window plan for a volume")
     common(p)
@@ -290,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xy-stride", type=int, default=None, help="override tiling.xy_stride")
     p.add_argument("--variant", choices=["A", "B"], default=nets.NetConfig.variant,
                    help="net whose window depth to plan")
-    p.set_defaults(func=cmd_plan)
 
     return parser
 
@@ -301,7 +290,8 @@ def run(argv: list[str]) -> int:
         libc.mallopt(-3, 32 << 20), libc.mallopt(-1, 256 << 20)  # M_MMAP_, M_TRIM_THRESHOLD
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # By name, not bound in the parser, so a wrapper set on `cli.cmd_<name>` is the one called.
+        return globals()[f"cmd_{args.command}"](args, _load_cfg(args))
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_USAGE
     except ConfigError as e:

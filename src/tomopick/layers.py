@@ -130,7 +130,6 @@ def conv_geometry(cin, cout, kernel, stride, pad, dilation, dims, factors):
     other planes read only zero padding."""
     out = tuple(-(-n // s) for n, s in zip(dims, stride))
     ld, lh, lw = (-(-(n + 2 * p) // s) for n, p, s in zip(dims, pad, stride))
-    _, sh, sw = stride
     axes = []
     for n, p0, s in zip(dims, pad, stride):
         spans = [(p, -(-(p0 - p) // s), -(-(n + p0 - p) // s)) for p in range(s)]

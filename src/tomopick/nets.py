@@ -14,15 +14,16 @@ full scale; widths and depths are configuration, not a reconstruction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-import os
 import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import layers as L
+from .volgrid import read_exact
 
 # Conv kernels and strides, per axis (depth, height, width).
 SLICE, DEPTH, CUBE, POINT = (1, 3, 3), (3, 1, 1), (3, 3, 3), (1, 1, 1)
@@ -237,13 +238,7 @@ def save_weights(path, net: ToyNet) -> None:
 
 
 def load_weights(path, config: NetConfig) -> dict[str, np.ndarray]:
-    def take(f, n, what):
-        # Check the size before reading: a block header may claim more than the file holds.
-        buf = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
-        if len(buf) != n:
-            raise CheckpointError(f"{path}: truncated while reading {what}")
-        return buf
-
+    take = functools.partial(read_exact, error=CheckpointError)
     with open(path, "rb") as f:
         if take(f, 4, "magic") != WTS_MAGIC:
             raise CheckpointError(f"{path}: bad magic")

@@ -28,7 +28,8 @@ def local_maxima(
     probed by one gather per offset for the candidates left: the square max
     of each earlier plane, then earlier rows (any dx) and earlier x in the
     candidate's row. Probes outside the channel are masked, so no padded
-    copy is made.
+    copy is made; a probe reads the plane, row and column it needs from the
+    flat index, so no (z, y, x) copy of the candidates is made either.
 
     min_value drops candidates below the threshold before plateau dedup; the
     surviving peaks are identical to filtering afterwards, but large flat
@@ -47,13 +48,16 @@ def local_maxima(
     if min_value is not None:
         candidate &= channel >= min_value
     idx = np.flatnonzero(candidate)
+    del candidate
     values = channel.reshape(-1)[idx]
     # (source, dz, dy, dx), nearest plane first: on a plateau it drops most.
     probes = [(plane_max, -k, 0, 0) for k in range(1, rz + 1)] + [
         (channel, 0, dy, dx) for dy in range(-ry, 1) for dx in range(-rx, rx + 1) if (dy, dx) < (0, 0)]
     for src, dz, dy, dx in probes:
-        z, y, x = np.unravel_index(idx, channel.shape)
-        inside = (z >= -dz) & (y >= -dy) & (x >= -dx) & (x < w - dx)
+        if dz:  # an earlier plane
+            inside = idx >= -dz * h * w
+        else:  # the same plane: row and column from the flat index
+            inside = (idx % (h * w) >= -dy * w) & (idx % w >= -dx) & (idx % w < w - dx)
         tie = inside & (src.reshape(-1)[np.where(inside, idx + (dz * h + dy) * w + dx, 0)] >= values)
         idx, values = idx[~tie], values[~tie]
     z, y, x = np.unravel_index(idx, channel.shape)

@@ -57,7 +57,6 @@ def generate_tomogram(spec: SceneSpec) -> tuple[Volume3D, PickSet]:
     pairwise and stay at least one class radius inside the volume bounds.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    d, h, w = spec.dims
     placed: list[PickRecord] = []
     placed_xyz: list[tuple[float, float, float]] = []
     for class_id, (cls, count) in enumerate(zip(spec.classes, spec.counts)):

@@ -100,10 +100,11 @@ class Heatmap:
         )
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
+def read_exact(f, n: int, what: str, error: type[Exception] = VolumeError) -> bytes:
+    """The next n bytes of `f`, else `error`; the file size is checked first, as a header may claim more."""
+    buf = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
     if len(buf) != n:
-        raise VolumeError(f"file truncated while reading {what}")
+        raise error(f"{f.name}: truncated while reading {what}")
     return buf
 
 
@@ -112,22 +113,22 @@ def _read_grid(path, magic: bytes, ndim: int) -> tuple[np.ndarray, float]:
     dims, f32 spacing and the f32 payload; returns (values, spacing), which
     the `Volume3D`/`Heatmap` constructor checks."""
     with open(path, "rb") as f:
-        found = _read_exact(f, 4, "magic")
+        found = read_exact(f, 4, "magic")
         if found != magic:
             raise VolumeError(f"{path}: bad magic {found!r}")
-        dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims"))
+        dims = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, "dims"))
         if min(dims) == 0 or math.prod(dims) > MAX_VOXELS:
             raise VolumeError(f"{path}: bad dims {dims}")
-        (spacing,) = struct.unpack("<f", _read_exact(f, 4, "spacing"))
+        (spacing,) = struct.unpack("<f", read_exact(f, 4, "spacing"))
         # Check the size before allocating: a header may claim more than the file holds.
         left, nbytes = os.fstat(f.fileno()).st_size - f.tell(), 4 * math.prod(dims)
         if left < nbytes:
-            raise VolumeError("file truncated while reading payload")
+            raise VolumeError(f"{path}: truncated while reading payload")
         if left > nbytes:
             raise VolumeError(f"{path}: trailing bytes after payload")
         values = np.empty(dims, dtype="<f4")
         if f.readinto(values) != nbytes:
-            raise VolumeError("file truncated while reading payload")
+            raise VolumeError(f"{path}: truncated while reading payload")
     return values, spacing
 
 

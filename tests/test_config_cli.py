@@ -3,6 +3,7 @@
 import argparse
 import collections
 import contextlib
+import importlib.util
 import io
 import os
 import platform
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import append_wts_block
-from tomopick import nets
+from tomopick import cli, nets
 from tomopick.cli import build_parser, run
 from tomopick.config import (
     ConfigError,
@@ -323,6 +324,23 @@ def small_cfg(tmp_path):
     return str(p)
 
 
+def test_tracer_records_a_command_span_on_every_run(tmp_path, small_cfg, capsys):
+    """The benchmark's tracer wraps `cli.cmd_gen` while it records; each `run`
+    inside the recording reaches the wrapper, also once the parser is built."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    gen = ["gen", "--config", small_cfg, "--dims", "8", "16", "16", "--counts", "blob=0",
+           "--out-volume", str(tmp_path / "s.vol"), "--out-picks", str(tmp_path / "s.picks")]
+    assert run(gen) == 0
+    tracer = tracer_mod.Tracer()
+    with tracer.recording("gen"):
+        assert run(gen) == 0 and run(gen) == 0
+    spans, _ = tracer.phases["gen"]
+    assert [span[2] for span in spans].count("cli.gen") == 2
+
+
 def test_gen_is_deterministic(tmp_path, small_cfg):
     args = [
         "gen", "--config", small_cfg, "--seed", "7",
@@ -611,6 +629,31 @@ def test_config_flags_set_no_default_of_their_own():
                 assert action.default is own, (command, action.option_strings, action.default)
     assert found["train"] == {"offset", "variant", "widths", "decoder_width", "strided_depth_pool", "epochs",
                               "base_lr", "warmup_epochs", "weight_decay", "batch_size", "loss", "window"}
+
+
+def test_parser_is_built_once_and_keeps_no_flag_between_runs(capsys):
+    assert build_parser() is build_parser()
+    assert run_cli("plan", "--dims", "16", "64", "64", "--xy-stride", "32") == 0
+    assert "stride 32)" in capsys.readouterr().out
+    assert run_cli("plan", "--dims", "16", "64", "64") == 0
+    assert f"stride {PipelineConfig().xy_stride})" in capsys.readouterr().out
+
+
+def test_every_subcommand_has_its_cmd_function():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert commands and all(callable(getattr(cli, f"cmd_{name}", None)) for name in commands)
+    assert {name for name in vars(cli) if name.startswith("cmd_")} == {f"cmd_{name}" for name in commands}
+
+
+def test_run_calls_the_command_in_place_at_each_call(monkeypatch):
+    """A function put in place of `cli.cmd_<name>` after the parser is built is
+    the one `run` calls, with the loaded config; the benchmark's tracer relies
+    on this."""
+    assert run_cli("plan", "--dims", "16", "64", "64") == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_plan", lambda args, cfg: calls.append((args.dims, cfg)) or 0)
+    assert run_cli("plan", "--dims", "16", "64", "64", "--xy-stride", "32") == 0
+    assert [(dims, type(cfg), cfg.xy_stride) for dims, cfg in calls] == [([16, 64, 64], PipelineConfig, 32)]
 
 
 REFILL = """

@@ -137,6 +137,20 @@ def test_peak_memory_stays_near_two_channels(min_value):
     assert peak <= 2.5 * channel.nbytes, peak / channel.nbytes
 
 
+def test_saturated_channel_peak_memory():
+    """An all-ones channel keeps every voxel as a candidate until the first
+    plane probe; the probes read plane, row and column from the flat index,
+    with no (z, y, x) copy of the candidates (14.5 channel sizes before)."""
+    channel = np.ones((32, 64, 64), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        assert local_maxima(channel, kernel=7, min_value=0.5) == [((0, 0, 0), 1.0)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * channel.nbytes, peak / channel.nbytes
+
+
 def test_last_maximum_filter_result_is_the_cube_max(monkeypatch):
     """The benchmark's tracer counts candidates from the last array
     `postproc.maximum_filter` returns inside `local_maxima`."""
