@@ -4,12 +4,33 @@ and conversion of voxel peaks to physical pick coordinates."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .coords import DEFAULT_OFFSET, ParticleClassSpec, PickRecord, PickSet, pixel_to_phys
 from .volgrid import Heatmap
 
 DEFAULT_NMS_KERNEL = 7
+
+
+def maximum_filter(a: np.ndarray, size, mode: str = "nearest") -> np.ndarray:
+    """`scipy.ndimage.maximum_filter(a, size, mode="nearest")` for odd sizes,
+    as a new C-contiguous array: per axis, with radius r = min(size // 2,
+    n - 1), the previous result is copied once and each shift 1..r is folded
+    in from both sides. `np.fmax` skips NaN, so a NaN never spreads to its
+    neighbours' max (scipy's result near a NaN depends on where it sits)."""
+    if mode != "nearest":
+        raise ValueError("only mode='nearest' is supported")
+    out = a
+    for axis, k in enumerate(np.broadcast_to(size, (a.ndim,))):
+        if k < 1 or k % 2 == 0:
+            raise ValueError("filter sizes must be odd and >= 1")
+        r = min(k // 2, a.shape[axis] - 1)
+        if r > 0:
+            src, out = np.moveaxis(out, axis, 0), out.copy()
+            dst = np.moveaxis(out, axis, 0)
+            for d in range(1, r + 1):
+                np.fmax(dst[d:], src[:-d], out=dst[d:])
+                np.fmax(dst[:-d], src[d:], out=dst[:-d])
+    return a.copy() if out is a else out
 
 
 def local_maxima(
@@ -22,9 +43,13 @@ def local_maxima(
     smallest voxel is a peak: a candidate, being the max of its neighborhood,
     is dropped when a voxel that precedes it there is >= it.
 
-    Two max filters give the neighborhood max: each plane's (y, x) square,
-    then along z. The cube max must be the last `maximum_filter` result, as
-    the benchmark's tracer counts candidates from it. The preceding half is
+    Two `maximum_filter` calls (numpy shift-max passes) give the neighborhood
+    max: each plane's (y, x) square, then along z. The cube max must be the
+    last `maximum_filter` result, as the benchmark's tracer counts candidates
+    from it. On noise the peak is 2.25 channel sizes: the two filter outputs
+    and the candidate mask. A NaN voxel is never a peak and never suppresses
+    a neighbour: the filters' `fmax` skips it, and it equals nothing, so it is
+    neither a candidate nor a tie of one. The preceding half is
     probed by one gather per offset for the candidates left: the square max
     of each earlier plane, then earlier rows (any dx) and earlier x in the
     candidate's row. Probes outside the channel are masked, so no padded
@@ -40,8 +65,7 @@ def local_maxima(
     channel = np.ascontiguousarray(channel)  # so each reshape(-1) is a view
     _, h, w = channel.shape
     # A radius of dim - 1 already reaches the whole axis, so clipping to it
-    # bounds the work for any kernel. 'nearest' edges only duplicate
-    # in-bounds voxels, so each filter max is the clipped-neighborhood max.
+    # bounds the work for any kernel.
     rz, ry, rx = (min(kernel // 2, n - 1) for n in channel.shape)
     plane_max = maximum_filter(channel, size=(1, 2 * ry + 1, 2 * rx + 1), mode="nearest")
     candidate = channel == maximum_filter(plane_max, size=(2 * rz + 1, 1, 1), mode="nearest")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import maximum_filter
+from scipy import ndimage
 
 from tomopick import postproc
 from tomopick.coords import ParticleClassSpec, PickRecord, PickSet, rasterize_heatmap
@@ -157,14 +157,57 @@ def test_last_maximum_filter_result_is_the_cube_max(monkeypatch):
     results = []
 
     def recorder(*args, **kwargs):
-        results.append(maximum_filter(*args, **kwargs))
+        results.append(ndimage.maximum_filter(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(postproc, "maximum_filter", recorder)
     channel = np.round(np.random.default_rng(1).random((4, 20, 30)) * 4).astype(np.float32)
     local_maxima(channel, kernel=9, min_value=1.0)
-    cube = maximum_filter(channel, size=(7, 9, 9), mode="nearest")
+    cube = ndimage.maximum_filter(channel, size=(7, 9, 9), mode="nearest")
     assert np.array_equal(results[-1], cube)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_maximum_filter_matches_scipy_nearest(seed):
+    """scipy is the oracle: the same values and dtype for odd sizes 1-15 per
+    axis (wider than the axis too, axes of length 1 included), float32 and
+    float64, +-inf, and non-contiguous views; the input is left as it was."""
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        shape = tuple(int(n) for n in rng.integers(1, 12, size=rng.integers(1, 4)))
+        a = (rng.integers(0, 5, size=shape) / 4).astype(rng.choice([np.float32, np.float64]))
+        a[rng.random(shape) < 0.05] = np.inf
+        a[rng.random(shape) < 0.05] = -np.inf
+        views = [a, a[..., ::-1], a.T, np.repeat(a, 2, axis=-1)[..., ::2]]
+        for view in views:
+            for size in (int(rng.integers(0, 8)) * 2 + 1,
+                         tuple(int(k) * 2 + 1 for k in rng.integers(0, 8, size=a.ndim))):
+                before = view.copy()
+                got = postproc.maximum_filter(view, size)
+                want = ndimage.maximum_filter(view, size=size, mode="nearest")
+                assert got.dtype == want.dtype and np.array_equal(got, want), (view.shape, size)
+                assert np.array_equal(view, before)
+    with pytest.raises(ValueError):
+        postproc.maximum_filter(np.zeros(3), 2)
+    with pytest.raises(ValueError):
+        postproc.maximum_filter(np.zeros(3), 3, mode="reflect")
+
+
+def test_nan_is_never_a_peak_and_never_suppresses_a_neighbour():
+    """fmax skips NaN: the filter max of a row is the max of its non-NaN
+    neighbours, and the peaks of a channel with NaNs are the peaks it has with
+    each NaN below every value, less the NaN voxels themselves."""
+    row = np.array([0, 1, 0, 0, np.nan, 0, 0, 0])
+    assert np.array_equal(postproc.maximum_filter(row, 3), [1, 1, 1, 0, 0, 0, 0, 0])
+    rng = np.random.default_rng(3)
+    for kernel in (1, 3, 5):
+        channel = (rng.integers(0, 4, size=(6, 7, 8)) / 3).astype(np.float32)
+        nan = rng.random(channel.shape) < 0.2
+        channel[nan] = np.nan
+        want = [p for p in brute_local_maxima(np.where(nan, -np.inf, channel), kernel) if not nan[p[0]]]
+        for min_value in (None, 1 / 3):
+            assert local_maxima(channel, kernel, min_value) == [
+                p for p in sorted(want) if min_value is None or p[1] >= min_value]
 
 
 def test_voxel_index_to_physical_example():

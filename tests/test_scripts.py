@@ -40,6 +40,18 @@ def test_train_step_profile_runs_at_a_tiny_window():
         assert 0 < line["forward_held_mb"] <= min(line["forward_peak_mb"], line["backward_peak_mb"])
 
 
+def test_nms_profile_runs_at_a_tiny_size():
+    """One line per channel kind with a time, a memory ratio and a peak count;
+    no timing is asserted."""
+    argv = [sys.executable, str(SCRIPTS / "nms_profile.py"), "--repeats", "1", "--shape", "4", "8", "8"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=60).stdout
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [(line["kind"], line["shape"]) for line in lines] == [
+        (kind, [4, 8, 8]) for kind in ("ones", "noise", "zeros", "smoothed")]
+    assert all(line["median_ms"] > 0 and line["peak_channels"] > 0 for line in lines)
+    assert [line["peaks"] for line in lines][::2] == [1, 0]
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
