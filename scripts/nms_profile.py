@@ -79,7 +79,7 @@ def main(argv=None):
         for kind, channel in channels(tuple(shape)):
             seconds, peak_channels, peaks = profile(channel, args.repeats)
             print(json.dumps({"shape": list(shape), "kind": kind, "kernel": KERNEL,
-                              "min_value": MIN_VALUE, "median_ms": round(1000 * seconds, 2),
+                              "min_value": MIN_VALUE, "median_ms": float(f"{1000 * seconds:.3g}"),
                               "peak_channels": round(peak_channels, 3), "peaks": peaks}), flush=True)
 
 

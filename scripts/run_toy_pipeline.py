@@ -10,6 +10,7 @@ Usage: python3 scripts/run_toy_pipeline.py [--workdir DIR] [--seed N]
 """
 
 import argparse
+import os
 import subprocess
 import sys
 import tempfile
@@ -31,10 +32,15 @@ class.blob.metric_weight = 1.0
 """
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def cli(*args):
+    """Run one tomopick command in a child process that imports the package from this checkout."""
     cmd = [sys.executable, "-m", "tomopick.cli", *map(str, args)]
     print("+", " ".join(cmd[2:]))
-    subprocess.run(cmd, check=True)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    subprocess.run(cmd, check=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def main():

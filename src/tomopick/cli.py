@@ -70,13 +70,6 @@ def _window_depth(variant: str, cfg: PipelineConfig) -> int:
     return cfg.z_window if variant == "A" else 2 * cfg.z_window
 
 
-def _net_config(args, cfg: PipelineConfig) -> nets.NetConfig:
-    """The net that the config and net flags describe; exit 3 if none can be built."""
-    with _config_values("no net can be built: "):
-        return nets.NetConfig(in_depth=_window_depth(args.variant, cfg), window_hw=cfg.window,
-                              class_count=len(cfg.classes), **_given(args, nets.NetConfig))
-
-
 def stage_widths(text: str) -> tuple[int, ...]:
     """--widths: comma-separated integers; argparse reports a bad value as a usage error."""
     return tuple(int(w) for w in text.split(","))
@@ -109,7 +102,9 @@ def cmd_rasterize(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
-    ncfg = _net_config(args, cfg)
+    with _config_values("no net can be built: "):
+        ncfg = nets.NetConfig(in_depth=_window_depth(args.variant, cfg), window_hw=cfg.window,
+                              class_count=len(cfg.classes), **_given(args, nets.NetConfig))
     with _config_values():
         tcfg = train_mod.TrainConfig(**_given(args, train_mod.TrainConfig))
     data_dir = Path(args.data)
@@ -140,19 +135,31 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 def cmd_infer(args, cfg: PipelineConfig) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    ncfg = _net_config(args, cfg)
     volume = read_volume(args.volume)
+    loaded = [nets.load_net(p) for p in args.checkpoints]  # each built at the config its file stores
+    first = loaded[0].config
+    for path, ncfg in zip(args.checkpoints, (net.config for net in loaded)):
+        if args.variant not in (None, ncfg.variant):
+            raise nets.CheckpointError(f"{path}: a variant {ncfg.variant} net, not --variant {args.variant}")
+        if ncfg.class_count != len(cfg.classes):
+            raise nets.CheckpointError(f"{path}: {ncfg.class_count} classes, the config has {len(cfg.classes)}")
+        if (ncfg.in_depth, ncfg.window_hw) != (first.in_depth, first.window_hw):
+            raise nets.CheckpointError(f"{path}: window {ncfg.in_depth}x{ncfg.window_hw}, "
+                                       f"not {args.checkpoints[0]}'s {first.in_depth}x{first.window_hw}")
+    if max(first.in_depth, first.window_hw) > cfg.pad_to:  # bounds the padded volume by the config's pad_to
+        raise nets.CheckpointError(f"{args.checkpoints[0]}: window {first.in_depth}x{first.window_hw} "
+                                   f"does not fit in tiling.pad_to {cfg.pad_to}")
     # Inference-mode forwards write nothing on the net, so the workers share one net per checkpoint.
-    predictors = [functools.partial(nets.load_net(p, ncfg).forward, train=False) for p in args.checkpoints]
+    predictors = [functools.partial(net.forward, train=False) for net in loaded]
     hm = tiler.tiled_inference(
         predictors,
         volume,
-        window_hw=cfg.window,
+        window_hw=first.window_hw,
         xy_stride=cfg.xy_stride,
         pad_to=cfg.pad_to,
-        z_window=ncfg.in_depth,
+        z_window=first.in_depth,
         z_stride=cfg.z_stride,
-        edge_floor=1.0 if args.no_blend_weight else cfg.edge_floor,
+        edge_floor=cfg.edge_floor,
         workers=args.workers,
     )
     write_heatmap(hm, args.out)
@@ -232,16 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, nargs=3, required=True, metavar=("D", "H", "W"))
     p.add_argument("--out", required=True)
 
-    def net_flags(p):
-        p.add_argument("--variant", choices=["A", "B"], default=nets.NetConfig.variant)
-        p.add_argument("--widths", type=stage_widths)
-        p.add_argument("--decoder-width", type=int)
-        p.add_argument("--strided-depth-pool", action="store_true",
-                       help="ablation: strided depth convs instead of pooling")
-
     p = sub.add_parser("train", help="train a toy net on a directory of scenes")
     common(p, seed=True, offset=True)
-    net_flags(p)
+    p.add_argument("--variant", choices=["A", "B"], default=nets.NetConfig.variant)
+    p.add_argument("--widths", type=stage_widths)
+    p.add_argument("--decoder-width", type=int)
+    p.add_argument("--strided-depth-pool", action="store_true",
+                   help="ablation: strided depth convs instead of pooling")
     p.add_argument("--data", required=True, help="dir of paired .vol/.picks scene files")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", dest="base_lr", type=float)
@@ -251,18 +255,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=sorted(LOSSES))
     p.add_argument("--window-hw", dest="window", type=int, default=None, help="override tiling.window")
     p.add_argument("--use-ema", action="store_true", help="save EMA weights instead of raw")
-    p.add_argument("--out", required=True, help="output WTS1 checkpoint")
+    p.add_argument("--out", required=True, help="output WTS2 checkpoint")
 
     p = sub.add_parser("infer", help="tiled sliding-window inference")
     common(p)
-    net_flags(p)
+    p.add_argument("--variant", choices=["A", "B"], help="check that every checkpoint is of this variant")
     p.add_argument("--volume", required=True)
-    p.add_argument("checkpoints", nargs="+", help="one or more WTS1 checkpoints to ensemble")
+    p.add_argument("checkpoints", nargs="+", help="one or more WTS2 checkpoints to ensemble")
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--xy-stride", type=int, default=None, help="override tiling.xy_stride")
-    p.add_argument("--edge-floor", type=float, default=None, help="override blend.edge_floor")
-    p.add_argument("--no-blend-weight", action="store_true", help="uniform weights: blend edge floor 1")
+    p.add_argument("--edge-floor", type=float, default=None, help="override blend.edge_floor; 1 is uniform")
 
     p = sub.add_parser("pick", help="extract picks from a heatmap")
     common(p, offset=True)

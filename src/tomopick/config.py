@@ -78,8 +78,8 @@ class PipelineConfig:
                 raise ConfigError(f"tiling {name} must be >= 1, got {getattr(self, name)}")
         if self.pad_to < self.window:
             raise ConfigError(f"tiling pad_to {self.pad_to} is smaller than the window {self.window}")
-        if not 0 < self.edge_floor < 1:
-            raise ConfigError(f"blend edge_floor must be in (0, 1), got {self.edge_floor}")
+        if not 0 < self.edge_floor <= 1:
+            raise ConfigError(f"blend edge_floor must be in (0, 1], got {self.edge_floor}")
         if not math.isfinite(self.spacing) or self.spacing <= 0:
             raise ConfigError(f"spacing must be finite and > 0, got {self.spacing}")
 

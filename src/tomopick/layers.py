@@ -3,7 +3,7 @@ activations and hand-derived backward passes.
 
 Tensors are (channels, depth, height, width) dense arrays. A layer keeps its
 parameters and gradients in dicts and registers its sub-layers by name, so
-optimizers and the WTS1 checkpoint name a parameter by its registry path
+optimizers and the WTS2 checkpoint name a parameter by its registry path
 (`fusion.branch0.weight`). `forward(x)` (train=True) caches what the matching
 backward needs, and every backward requires that cache. `forward(x,
 train=False)` is the inference mode: it returns the same values but writes no

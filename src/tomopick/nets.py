@@ -1,4 +1,4 @@
-"""Toy 2.5D U-Net variants and the WTS1 weight checkpoint format.
+"""Toy 2.5D U-Net variants and the WTS2 weight checkpoint format.
 
 Variant A: per-slice 2D stages with depth halving between them, a 3D-conv
 bottleneck at 1/4 resolution, then nearest depth upsampling and an HxW pixel
@@ -14,6 +14,7 @@ full scale; widths and depths are configuration, not a reconstruction.
 
 from __future__ import annotations
 
+import ast
 import functools
 import hashlib
 import math
@@ -65,10 +66,17 @@ class NetConfig:
         return np.float64 if self.dtype == "float64" else np.float32
 
 
+_SHAPE_FIELDS = tuple(f for f in fields(NetConfig) if f.name not in ("seed", "dtype"))
+
+
+def config_text(cfg: NetConfig) -> str:
+    """Repr of the fields that shape the net (`_SHAPE_FIELDS`: all but seed and dtype), in declaration order."""
+    return repr(tuple(getattr(cfg, f.name) for f in _SHAPE_FIELDS))
+
+
 def config_hash(cfg: NetConfig) -> int:
-    """Hash of the repr of the fields that shape the net, in declaration order: all but seed and dtype."""
-    canon = repr(tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("seed", "dtype")))
-    return int.from_bytes(hashlib.sha256(canon.encode()).digest()[:8], "little")
+    """The first 8 bytes, little-endian, of the SHA-256 of `config_text`."""
+    return int.from_bytes(hashlib.sha256(config_text(cfg).encode()).digest()[:8], "little")
 
 
 def _chain(h, train, *layers):
@@ -208,13 +216,30 @@ def build_net(config: NetConfig) -> ToyNet:
     return VariantANet(config) if config.variant == "A" else VariantBNet(config)
 
 
-# --- WTS1 checkpoint ---------------------------------------------------------
+def param_count(config: NetConfig) -> int:
+    """The floats in `build_net(config)`'s parameters, counted without building it."""
+    def conv(cin, cout, taps):
+        return cout * (cin * taps + 1)  # weight and bias
+    c, wd = config.class_count, config.decoder_width
+    if config.variant == "A":
+        w0, w1, w2 = config.widths[:3]
+        n = conv(1, w0, 9) + conv(w0, w1, 9) + conv(w1, w2, 9) + conv(w2, w2, 27) + conv(w2, c * 16, 1)
+        return n + (conv(w1, w1, 3) + conv(w2, w2, 3) if config.strided_depth_pool else 0)
+    w0, w1, w2, w3 = config.widths[:4]
+    cr = max(1, wd // 2)  # SCSEBlock at reduction 2
+    scse = 2 * cr * wd + cr + 2 * wd + 1
+    return (conv(1, w0, 9) + conv(w0, w1, 9) + conv(w1, w2, 9) + conv(w2, w3, 9)
+            + 3 * conv(w1 + w2 + w3, wd, 27) + conv(3 * wd, wd, 1) + 3 * (conv(wd, wd, 27) + scse) + conv(wd, c, 1))
+
+
+# --- WTS2 checkpoint ---------------------------------------------------------
 #
-# magic "WTS1", little-endian u64 config hash, u32 block count, then per block:
-# u32 name length, utf-8 name, u32 ndim, u32 dims, raw little-endian f32 data.
+# magic "WTS2", little-endian u64 hash of the config text, u32 text length, the
+# utf-8 `config_text` of the net, u32 block count, then per block: u32 name
+# length, utf-8 name, u32 ndim, u32 dims, raw little-endian f32 data.
 # Each parameter name appears in one block.
 
-WTS_MAGIC = b"WTS1"
+WTS_MAGIC = b"WTS2"
 
 
 class CheckpointError(Exception):
@@ -223,9 +248,12 @@ class CheckpointError(Exception):
 
 def save_weights(path, net: ToyNet) -> None:
     params = net.named_params()
+    text = config_text(net.config).encode()
     with open(path, "wb") as f:
         f.write(WTS_MAGIC)
         f.write(struct.pack("<Q", config_hash(net.config)))
+        f.write(struct.pack("<I", len(text)))
+        f.write(text)
         f.write(struct.pack("<I", len(params)))
         for name in sorted(params):
             arr = np.ascontiguousarray(params[name], dtype="<f4")
@@ -237,14 +265,29 @@ def save_weights(path, net: ToyNet) -> None:
             f.write(arr.tobytes())
 
 
-def load_weights(path, config: NetConfig) -> dict[str, np.ndarray]:
+def _parse_config(path, text: bytes) -> NetConfig:
+    """The config whose `config_text` is `text`, types included; any other text is an error."""
+    try:
+        values = ast.literal_eval(text.decode())
+        cfg = NetConfig(**{f.name: v for f, v in zip(_SHAPE_FIELDS, values, strict=True)})
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as e:
+        raise CheckpointError(f"{path}: bad net config text: {e}") from e
+    typed = all(type(v) is type(f.default) for f, v in zip(_SHAPE_FIELDS, values))
+    if not typed or {*map(type, cfg.widths)} != {int} or config_text(cfg) != text.decode():
+        raise CheckpointError(f"{path}: net config text {text.decode()!r} is not one that save_weights writes")
+    return cfg
+
+
+def load_weights(path) -> tuple[NetConfig, dict[str, np.ndarray]]:
+    """The net config a checkpoint stores and its parameters."""
     take = functools.partial(read_exact, error=CheckpointError)
     with open(path, "rb") as f:
         if take(f, 4, "magic") != WTS_MAGIC:
             raise CheckpointError(f"{path}: bad magic")
-        (chash,) = struct.unpack("<Q", take(f, 8, "config hash"))
-        if chash != config_hash(config):
-            raise CheckpointError(f"{path}: checkpoint was written for a different net config")
+        chash, tlen = struct.unpack("<QI", take(f, 12, "config header"))
+        config = _parse_config(path, take(f, tlen, "config text"))
+        if config_hash(config) != chash:
+            raise CheckpointError(f"{path}: net config text does not match its hash")
         (count,) = struct.unpack("<I", take(f, 4, "block count"))
         state = {}
         for _ in range(count):
@@ -258,10 +301,18 @@ def load_weights(path, config: NetConfig) -> dict[str, np.ndarray]:
             state[name] = data.astype(np.float32)
         if f.read(1) != b"":
             raise CheckpointError(f"{path}: trailing bytes")
-    return state
+    # Checked before any net is built: a forged text may name widths whose net the file could not hold.
+    if (held := sum(a.size for a in state.values())) != param_count(config):
+        raise CheckpointError(f"{path}: the blocks hold {held} floats, a net of its config {param_count(config)}")
+    return config, state
 
 
-def load_net(path, config: NetConfig) -> ToyNet:
-    net = build_net(config)
-    net.set_params(load_weights(path, config))  # assignment casts to the net's dtype
+def load_net(path, config: NetConfig | None = None) -> ToyNet:
+    """The net a checkpoint stores, built at its stored config. A given `config` must
+    match that on every field but seed and dtype, and sets the net's dtype."""
+    stored, state = load_weights(path)
+    if config is not None and config_text(config) != config_text(stored):
+        raise CheckpointError(f"{path}: checkpoint was written for a different net config")
+    net = build_net(config or stored)
+    net.set_params(state)  # assignment casts to the net's dtype
     return net

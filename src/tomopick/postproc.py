@@ -11,14 +11,12 @@ from .volgrid import Heatmap
 DEFAULT_NMS_KERNEL = 7
 
 
-def maximum_filter(a: np.ndarray, size, mode: str = "nearest") -> np.ndarray:
+def maximum_filter(a: np.ndarray, size) -> np.ndarray:
     """`scipy.ndimage.maximum_filter(a, size, mode="nearest")` for odd sizes,
     as a new C-contiguous array: per axis, with radius r = min(size // 2,
     n - 1), the previous result is copied once and each shift 1..r is folded
     in from both sides. `np.fmax` skips NaN, so a NaN never spreads to its
     neighbours' max (scipy's result near a NaN depends on where it sits)."""
-    if mode != "nearest":
-        raise ValueError("only mode='nearest' is supported")
     out = a
     for axis, k in enumerate(np.broadcast_to(size, (a.ndim,))):
         if k < 1 or k % 2 == 0:
@@ -58,17 +56,20 @@ def local_maxima(
 
     min_value drops candidates below the threshold before plateau dedup; the
     surviving peaks are identical to filtering afterwards, but large flat
-    background regions (e.g. exact zeros) never enter the dedup scan.
+    background regions (e.g. exact zeros) never enter the dedup scan, and a
+    channel whose max is below it runs no filter.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError("kernel must be odd and >= 1")
+    if min_value is not None and channel.max() < min_value:  # a NaN max compares False: full path
+        return []
     channel = np.ascontiguousarray(channel)  # so each reshape(-1) is a view
     _, h, w = channel.shape
     # A radius of dim - 1 already reaches the whole axis, so clipping to it
     # bounds the work for any kernel.
     rz, ry, rx = (min(kernel // 2, n - 1) for n in channel.shape)
-    plane_max = maximum_filter(channel, size=(1, 2 * ry + 1, 2 * rx + 1), mode="nearest")
-    candidate = channel == maximum_filter(plane_max, size=(2 * rz + 1, 1, 1), mode="nearest")
+    plane_max = maximum_filter(channel, size=(1, 2 * ry + 1, 2 * rx + 1))
+    candidate = channel == maximum_filter(plane_max, size=(2 * rz + 1, 1, 1))
     if min_value is not None:
         candidate &= channel >= min_value
     idx = np.flatnonzero(candidate)

@@ -82,7 +82,8 @@ class WindowPlan:
 def padded_plan(dims, window_hw, xy_stride, pad_to, z_window, z_stride):
     """(plan, pads): the plan `tiled_inference` runs over a volume of `dims` padded to
     (max(D, z_window), pad_to, pad_to), and each axis's centred (before, after) reflect
-    pad, the odd voxel after. `infer` and `plan` both take their pads from here."""
+    pad, the odd voxel after. `infer` (at a checkpoint's window) and `plan` (at the
+    config's) both take their pads from here."""
     if pad_to < max(dims[1:]):
         raise ValueError(f"pad_to {pad_to} smaller than volume XY {dims[1]}x{dims[2]}")
     padded = (max(dims[0], z_window), pad_to, pad_to)
@@ -103,7 +104,7 @@ def _axis_tent(length: int, edge_floor: float) -> np.ndarray:
 
 def blend_mask(window: tuple[int, int, int], edge_floor: float = DEFAULT_EDGE_FLOOR) -> np.ndarray:
     """Separable tent weights, ~1 at the window center and edge_floor at the
-    edges; edge_floor 1 gives uniform weights (the no-blend-weight ablation)."""
+    edges; edge_floor 1 gives uniform weights (the uniform-weight ablation)."""
     if not 0.0 < edge_floor <= 1.0:
         raise ValueError("edge_floor must be in (0, 1]")
     tz, ty, tx = (_axis_tent(n, edge_floor) for n in window)

@@ -1,4 +1,4 @@
-"""Write the WTS1 checkpoint fixtures that `test_nets.py` pins.
+"""Write the WTS2 checkpoint fixtures that `test_nets.py` pins.
 
 Each fixture is a freshly initialised tiny net (`net_<name>.wts`) plus its
 forward output on the fixed test input (`net_<name>.out.npy`). Regenerate

@@ -2,6 +2,7 @@
 separate from the library code paths they verify."""
 
 import contextlib
+import hashlib
 import itertools
 import math
 import struct
@@ -220,10 +221,26 @@ def optimal_match_tp(preds, gts, tau):
     return best[0]
 
 
+def wts_blocks_start(data: bytes) -> int:
+    """Offset of the u32 block count in WTS2 file bytes: after the magic, the u64
+    config-text hash, the u32 text length and the text."""
+    return 16 + struct.unpack_from("<I", data, 12)[0]
+
+
+def with_config_text(path, text: bytes, chash: int | None = None) -> None:
+    """Put `text` in place of the config text of the WTS2 file at `path`, with its
+    SHA-256-based hash as `save_weights` writes it unless `chash` is given."""
+    data = path.read_bytes()
+    if chash is None:
+        chash = int.from_bytes(hashlib.sha256(text).digest()[:8], "little")
+    path.write_bytes(data[:4] + struct.pack("<QI", chash, len(text)) + text + data[wts_blocks_start(data):])
+
+
 def append_wts_block(path, name: str, values) -> None:
-    """Append one parameter block to the WTS1 file at `path` and count it in the header."""
+    """Append one parameter block to the WTS2 file at `path` and count it in the header."""
     data = bytearray(path.read_bytes())
-    struct.pack_into("<I", data, 12, struct.unpack_from("<I", data, 12)[0] + 1)
+    at = wts_blocks_start(data)
+    struct.pack_into("<I", data, at, struct.unpack_from("<I", data, at)[0] + 1)
     arr, nb = np.ascontiguousarray(values, dtype="<f4"), name.encode()
     data += struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape) + arr.tobytes()
     path.write_bytes(bytes(data))

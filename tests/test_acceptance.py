@@ -405,7 +405,7 @@ def test_criterion_10_ablation_flags_produce_scores(tmp_path, capsys):
         scores = {}
         for tag, extra in (
             ("coarse_stride", ["--xy-stride", "32"]),
-            ("no_blend", ["--no-blend-weight"]),
+            ("no_blend", ["--edge-floor", "1"]),
         ):
             hm = tmp_path / f"{tag}.hmc"
             assert cli.run([

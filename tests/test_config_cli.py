@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import append_wts_block
+from helpers import append_wts_block, wts_blocks_start, with_config_text
 from tomopick import cli, nets
 from tomopick.cli import build_parser, run
 from tomopick.config import (
@@ -138,7 +138,7 @@ def test_plan_and_infer_refuse_a_plane_wider_than_pad_to_alike(tmp_path, small_c
     write_volume(Volume3D(np.zeros((16, 32, 80), dtype=np.float32), 10.0), vol)
     nets.save_weights(ckpt, nets.build_net(nets.NetConfig(variant="A", in_depth=16, window_hw=32,
                                                           widths=(4, 4, 4))))
-    assert run_cli("infer", str(ckpt), "--config", small_cfg, "--widths", "4,4,4",
+    assert run_cli("infer", str(ckpt), "--config", small_cfg,
                    "--volume", str(vol), "--out", str(tmp_path / "hm.hmc")) == 4
     assert capsys.readouterr().err == plan_err == "error: pad_to 64 smaller than volume XY 32x80\n"
 
@@ -191,7 +191,7 @@ def _class_block(**values):
     "tiling.z_stride = 0",
     "tiling.pad_to = 100",
     "blend.edge_floor = 0.0",
-    "blend.edge_floor = 1.0",
+    "blend.edge_floor = 1.5",
     "pipeline.spacing = 0.0",
     "pipeline.spacing = nan",
     "pipeline.spacing = inf",
@@ -252,7 +252,7 @@ def test_infer_forged_oversize_volume_header_exits_4(tmp_path, capsys):
 
 
 def test_infer_forged_checkpoint_block_exits_4(tmp_path, small_cfg, capsys):
-    """A WTS1 file with the right magic and config hash whose first block
+    """A WTS2 file with the right magic and config text whose first block
     claims 65535^3 floats: infer exits 4 before it reads them."""
     import struct
 
@@ -263,22 +263,23 @@ def test_infer_forged_checkpoint_block_exits_4(tmp_path, small_cfg, capsys):
                                                           widths=(4, 4, 4))))
     name = b"stem.weight"
     block = struct.pack("<I", len(name)) + name + struct.pack("<5I", 4, 65535, 65535, 65535, 1)
-    ckpt.write_bytes(ckpt.read_bytes()[:16] + block + bytes(64))
-    code = run_cli("infer", str(ckpt), "--config", small_cfg, "--variant", "A", "--widths", "4,4,4",
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data[:wts_blocks_start(data) + 4] + block + bytes(64))
+    code = run_cli("infer", str(ckpt), "--config", small_cfg, "--variant", "A",
                    "--volume", str(vol), "--out", str(tmp_path / "hm.hmc"))
     assert code == 4
     assert "truncated while reading data" in capsys.readouterr().err
 
 
 def test_infer_repeated_checkpoint_block_exits_4(tmp_path, small_cfg, capsys):
-    """A WTS1 file that names a parameter twice: infer exits 4."""
+    """A WTS2 file that names a parameter twice: infer exits 4."""
     vol = tmp_path / "scene.vol"
     write_volume(Volume3D(np.zeros((16, 32, 32), dtype=np.float32), 10.0), vol)
     ckpt = tmp_path / "a.wts"
     nets.save_weights(ckpt, nets.build_net(nets.NetConfig(variant="A", in_depth=16, window_hw=32,
                                                           widths=(4, 4, 4))))
     append_wts_block(ckpt, "bott.bias", np.full(4, 7.0))
-    code = run_cli("infer", str(ckpt), "--config", small_cfg, "--widths", "4,4,4",
+    code = run_cli("infer", str(ckpt), "--config", small_cfg,
                    "--volume", str(vol), "--out", str(tmp_path / "hm.hmc"))
     assert code == 4
     assert "parameter 'bott.bias' repeated" in capsys.readouterr().err
@@ -418,7 +419,7 @@ def test_infer_shares_one_net_per_checkpoint_across_workers(tmp_path, monkeypatc
     loads = collections.Counter()
     load_net = nets.load_net
 
-    def counting_load_net(path, config):
+    def counting_load_net(path, config=None):
         loads[str(path)] += 1
         return load_net(path, config)
 
@@ -430,8 +431,7 @@ def test_infer_shares_one_net_per_checkpoint_across_workers(tmp_path, monkeypatc
         for workers in (1, 2, 4):
             out = tmp_path / f"w{workers}.hmc"
             loads.clear()
-            assert run_cli("infer", *ckpts, "--config", str(cfg), "--variant", "B",
-                           "--widths", "4,4,4,4", "--decoder-width", "4", "--volume", str(vol),
+            assert run_cli("infer", *ckpts, "--config", str(cfg), "--variant", "B", "--volume", str(vol),
                            "--workers", str(workers), "--out", str(out)) == 0
             assert loads == {p: 1 for p in ckpts}
             outs[workers] = out.read_bytes()
@@ -454,7 +454,7 @@ def test_infer_rejects_uncovered_plan_before_any_forward(tmp_path, monkeypatch, 
     forwards = []
     load_net = nets.load_net
 
-    def counting_load_net(path, config):
+    def counting_load_net(path, config=None):
         net = load_net(path, config)
         forward = net.forward
 
@@ -466,8 +466,8 @@ def test_infer_rejects_uncovered_plan_before_any_forward(tmp_path, monkeypatch, 
         return net
 
     monkeypatch.setattr(nets, "load_net", counting_load_net)
-    code = run_cli("infer", ckpt, "--config", str(cfg), "--variant", "A", "--widths", "4,4,4,4",
-                   "--decoder-width", "4", "--volume", str(vol), "--out", str(tmp_path / "hm.hmc"))
+    code = run_cli("infer", ckpt, "--config", str(cfg), "--variant", "A",
+                   "--volume", str(vol), "--out", str(tmp_path / "hm.hmc"))
     assert code == 4
     assert "window plan leaves voxels uncovered" in capsys.readouterr().err
     assert forwards == []
@@ -480,9 +480,9 @@ TINY_CFG = (SMALL_CFG.replace("tiling.window = 32", "tiling.window = 16")
 
 
 def _train_then_infer(tmp_path, *net_flags):
-    """gen one scene, train a tiny variant-A net on it without --window-hw,
-    then infer that scene with the same net flags; returns infer's exit code
-    and output path."""
+    """gen one scene, train a tiny variant-A net on it without --window-hw and
+    with the given net flags, then infer that scene with no net flag; returns
+    infer's exit code and output path."""
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CFG)
     scenes = tmp_path / "scenes"
@@ -490,12 +490,12 @@ def _train_then_infer(tmp_path, *net_flags):
     vol = scenes / "s.vol"
     assert run_cli("gen", "--config", str(cfg), "--seed", "4", "--dims", "16", "32", "32",
                    "--counts", "blob=2", "--out-volume", str(vol), "--out-picks", str(scenes / "s.picks")) == 0
-    flags = ("--variant", "A", "--widths", "4,4,4", "--decoder-width", "4", *net_flags)
+    flags = ("--variant", "A", "--widths", "4,4,4", *net_flags)
     ckpt = str(tmp_path / "m.wts")
     assert run_cli("train", "--config", str(cfg), "--data", str(scenes), "--out", ckpt, *flags,
                    "--epochs", "1", "--warmup-epochs", "0", "--batch-size", "2") == 0
     out = tmp_path / "hm.hmc"
-    return run_cli("infer", ckpt, "--config", str(cfg), *flags, "--volume", str(vol), "--out", str(out)), out
+    return run_cli("infer", ckpt, "--config", str(cfg), "--volume", str(vol), "--out", str(out)), out
 
 
 def test_default_train_then_infer_share_the_config_window(tmp_path):
@@ -509,6 +509,118 @@ def test_strided_depth_pool_checkpoint_can_be_inferred(tmp_path):
     code, out = _train_then_infer(tmp_path, "--strided-depth-pool")
     assert code == 0
     assert read_heatmap(out).data.shape == (1, 16, 32, 32)
+
+
+def test_default_infer_runs_an_a_checkpoint_trained_with_a_decoder_width(tmp_path):
+    """Variant A has no decoder; the width it was trained with needs no flag at infer."""
+    code, out = _train_then_infer(tmp_path, "--decoder-width", "8")
+    assert code == 0
+    assert read_heatmap(out).data.shape == (1, 16, 32, 32)
+
+
+def test_infer_takes_window_and_net_from_the_checkpoint(tmp_path, small_cfg):
+    """A checkpoint at window 16 and depth 8 runs under a config of window 32 and
+    z_window 16: infer reads neither, and the heatmap equals tiled inference of
+    that net at the checkpoint's window."""
+    vol, ckpt = tmp_path / "scene.vol", tmp_path / "a.wts"
+    write_volume(Volume3D(np.random.default_rng(3).random((12, 20, 24), dtype=np.float32), 10.0), vol)
+    net = nets.build_net(nets.NetConfig(variant="A", in_depth=8, window_hw=16, widths=(3, 4, 5),
+                                        decoder_width=7, seed=2))
+    nets.save_weights(ckpt, net)
+    assert run_cli("infer", str(ckpt), "--config", small_cfg, "--volume", str(vol),
+                   "--out", str(tmp_path / "hm.hmc")) == 0
+    cfg = parse_config(SMALL_CFG)
+    want = tiled_inference([lambda w: net.forward(w, train=False)], read_volume(vol), window_hw=16,
+                           xy_stride=cfg.xy_stride, pad_to=cfg.pad_to, z_window=8, z_stride=cfg.z_stride)
+    assert read_heatmap(tmp_path / "hm.hmc").data.tobytes() == want.data.tobytes()
+
+
+def _config_text(**fields_):
+    cfg = dict(variant="A", in_depth=16, window_hw=32, class_count=1, widths=(4, 4, 4),
+               decoder_width=16, strided_depth_pool=False) | fields_
+    return repr(tuple(cfg.values())).encode()
+
+
+NOT_WRITTEN = "is not one that save_weights writes"
+
+
+def _oversize_text_length(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:12] + (1 << 20).to_bytes(4, "little") + data[16:])
+
+
+def _without_blocks(path, text):
+    with_config_text(path, text)
+    data = path.read_bytes()
+    path.write_bytes(data[:wts_blocks_start(data)] + bytes(4))
+
+
+DOES_NOT_HOLD = "floats, a net of its config"
+DOES_NOT_FIT = "does not fit in tiling.pad_to 64"
+
+
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(lambda p: p.write_bytes(p.read_bytes()[:14]), "truncated while reading config header",
+                 id="truncated header"),
+    pytest.param(_oversize_text_length, "truncated while reading config text", id="text longer than the file"),
+    pytest.param(lambda p: with_config_text(p, _config_text().replace(b"A", b"\xc4")), "bad net config text",
+                 id="text not utf-8"),
+    pytest.param(lambda p: with_config_text(p, _config_text(), chash=12345), "does not match its hash",
+                 id="hash mismatch"),
+    pytest.param(lambda p: with_config_text(p, _config_text()[:-8] + b")"), "bad net config text", id="six fields"),
+    pytest.param(lambda p: with_config_text(p, _config_text(in_depth=16.0)), NOT_WRITTEN, id="float depth"),
+    pytest.param(lambda p: with_config_text(p, _config_text(widths=(4, 4.0, 4))), NOT_WRITTEN, id="float width"),
+    pytest.param(lambda p: with_config_text(p, _config_text(strided_depth_pool=0)), NOT_WRITTEN,
+                 id="int for a bool"),
+    pytest.param(lambda p: with_config_text(p, _config_text(widths=[4, 4, 4])), NOT_WRITTEN, id="list widths"),
+    pytest.param(lambda p: with_config_text(p, _config_text().replace(b", ", b",")), NOT_WRITTEN, id="spacing"),
+    pytest.param(lambda p: with_config_text(p, _config_text(variant="C")), "bad net config text", id="no such net"),
+    pytest.param(lambda p: with_config_text(p, _config_text(widths=(1 << 16,) * 3)), DOES_NOT_HOLD,
+                 id="huge widths"),
+    pytest.param(lambda p: _without_blocks(p, _config_text(widths=(256,) * 3)), DOES_NOT_HOLD,
+                 id="widths and no blocks"),
+    pytest.param(lambda p: with_config_text(p, _config_text(class_count=1 << 20)), DOES_NOT_HOLD,
+                 id="huge class count"),
+    pytest.param(lambda p: with_config_text(p, _config_text(in_depth=1 << 30)), DOES_NOT_FIT, id="deep window"),
+    pytest.param(lambda p: with_config_text(p, _config_text(window_hw=1 << 20)), DOES_NOT_FIT, id="wide window"),
+])
+def test_damaged_checkpoint_config_exits_4(tmp_path, small_cfg, capsys, damage, message):
+    """The WTS2 header is checked before any net is built: infer exits 4 on a
+    config text that `save_weights` would not write, even under a matching hash,
+    on one that names a net the file's blocks cannot hold, and on a window larger
+    than the config's pad_to, which would set the padded volume's size."""
+    vol, ckpt = tmp_path / "scene.vol", tmp_path / "a.wts"
+    write_volume(Volume3D(np.zeros((16, 32, 32), dtype=np.float32), 10.0), vol)
+    nets.save_weights(ckpt, nets.build_net(nets.NetConfig(variant="A", in_depth=16, window_hw=32,
+                                                          widths=(4, 4, 4))))
+    argv = ("infer", str(ckpt), "--config", small_cfg, "--volume", str(vol), "--out", str(tmp_path / "hm.hmc"))
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    damage(ckpt)
+    assert run_cli(*argv) == 4
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nets_, flags, message", [
+    pytest.param([dict(variant="A")], ("--variant", "B"), "a variant A net, not --variant B", id="variant"),
+    pytest.param([dict(variant="A", class_count=2)], (), "2 classes, the config has 1", id="class count"),
+    pytest.param([dict(variant="A"), dict(variant="B", in_depth=32)], (), "window 32x32, not",
+                 id="A + B"),
+])
+def test_checkpoint_that_does_not_fit_exits_4(tmp_path, small_cfg, capsys, nets_, flags, message):
+    """--variant only checks: a checkpoint of another variant exits 4, as does one
+    with another class count, and an A + B ensemble whose nets read windows of
+    different depth."""
+    vol = tmp_path / "scene.vol"
+    write_volume(Volume3D(np.zeros((16, 32, 32), dtype=np.float32), 10.0), vol)
+    ckpts = []
+    for i, fields_ in enumerate(nets_):
+        ckpts.append(str(tmp_path / f"m{i}.wts"))
+        nets.save_weights(ckpts[-1], nets.build_net(nets.NetConfig(
+            **dict(in_depth=16, window_hw=32, widths=(4, 4, 4, 4), decoder_width=4) | fields_)))
+    assert run_cli("infer", *ckpts, "--config", small_cfg, *flags, "--volume", str(vol),
+                   "--out", str(tmp_path / "hm.hmc")) == 4
+    assert message in capsys.readouterr().err
 
 
 def test_train_on_a_scene_smaller_than_the_window(tmp_path, small_cfg, capsys):
@@ -529,7 +641,7 @@ def test_train_on_a_scene_smaller_than_the_window(tmp_path, small_cfg, capsys):
     ("plan", "--dims", "64", "-8", "64"),
     ("rasterize", "--picks", "none.picks", "--out", "none.hmc", "--dims", "8", "0", "32"),
     *[("infer", "none.wts", "--volume", "none.vol", "--out", "none.hmc", *bad) for bad in (
-        ("--xy-stride", "0"), ("--xy-stride", "-1"), ("--edge-floor", "0"), ("--edge-floor", "1"),
+        ("--xy-stride", "0"), ("--xy-stride", "-1"), ("--edge-floor", "0"), ("--edge-floor", "1.5"),
         ("--workers", "0"))],
     ("pick", "--heatmap", "none.hmc", "--out", "none.picks", "--offset", "0.7"),
     ("rasterize", "--picks", "none.picks", "--out", "none.hmc", "--dims", "8", "32", "32", "--offset", "0.7"),
@@ -564,7 +676,6 @@ def test_bad_cli_override_exits_3(argv, capsys):
 ])
 @pytest.mark.parametrize("command", [
     ("train", "--data", "none", "--out", "none.wts"),
-    ("infer", "none.wts", "--volume", "none.vol", "--out", "none.hmc"),
 ], ids=lambda argv: argv[0])
 def test_no_net_for_the_config_and_flags_exits_3(tmp_path, capsys, line, flags, command):
     """Config values and net flags that no net can be built at are config
@@ -578,7 +689,6 @@ def test_no_net_for_the_config_and_flags_exits_3(tmp_path, capsys, line, flags, 
 
 @pytest.mark.parametrize("command", [
     ("train", "--data", "none", "--out", "none.wts"),
-    ("infer", "none.wts", "--volume", "none.vol", "--out", "none.hmc"),
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("widths", ["4,x", "", "4,,4", "4.0,8,8"])
 def test_widths_that_are_not_integers_exit_2(capsys, command, widths):
@@ -607,16 +717,19 @@ def test_repeated_class_in_counts_exits_3(tmp_path, small_cfg, capsys, counts):
 def test_flags_exist_only_where_they_act():
     commands = build_parser()._subparsers._group_actions[0].choices
     having = {flag: sorted(name for name, p in commands.items() if flag in p._option_string_actions)
-              for flag in ("--seed", "--offset", "--strided-depth-pool", "--window-hw")}
+              for flag in ("--seed", "--offset", "--variant", "--widths", "--decoder-width",
+                           "--strided-depth-pool", "--window-hw", "--no-blend-weight")}
     assert having == {"--seed": ["gen", "train"], "--offset": ["pick", "rasterize", "train"],
-                      "--strided-depth-pool": ["infer", "train"], "--window-hw": ["train"]}
+                      "--variant": ["infer", "plan", "train"], "--widths": ["train"], "--decoder-width": ["train"],
+                      "--strided-depth-pool": ["train"], "--window-hw": ["train"], "--no-blend-weight": []}
 
 
 def test_config_flags_set_no_default_of_their_own():
     """A flag stored under a config field's name sets no default, so the
-    dataclass's own default applies. --variant reads NetConfig's default, since
-    the window depth needs it before the net's config exists; --seed keeps 0,
-    since gen's SceneSpec reads it too."""
+    dataclass's own default applies. --variant reads NetConfig's default on
+    train and plan, since the window depth needs it before the net's config
+    exists, and none on infer, where it only checks the checkpoints; --seed
+    keeps 0, since gen's SceneSpec reads it too."""
     commands = build_parser()._subparsers._group_actions[0].choices
     names = {f.name for cls in (PipelineConfig, TrainConfig, nets.NetConfig) for f in fields(cls)} - {"seed"}
     found = collections.defaultdict(set)
@@ -625,10 +738,12 @@ def test_config_flags_set_no_default_of_their_own():
             if action.dest in names:
                 found[command].add(action.dest)
                 store_true = isinstance(action, argparse._StoreTrueAction)
-                own = nets.NetConfig.variant if action.dest == "variant" else False if store_true else None
+                builds = action.dest == "variant" and command != "infer"
+                own = nets.NetConfig.variant if builds else False if store_true else None
                 assert action.default is own, (command, action.option_strings, action.default)
     assert found["train"] == {"offset", "variant", "widths", "decoder_width", "strided_depth_pool", "epochs",
                               "base_lr", "warmup_epochs", "weight_decay", "batch_size", "loss", "window"}
+    assert found["infer"] == {"variant", "xy_stride", "edge_floor"}
 
 
 def test_parser_is_built_once_and_keeps_no_flag_between_runs(capsys):

@@ -1,6 +1,6 @@
 """Failure-mode sweep: byte-mutated and truncated input files through `cli.run`.
 
-Whatever the damage to a VOL1 volume, an HMC1 heatmap, a WTS1 checkpoint, a
+Whatever the damage to a VOL1 volume, an HMC1 heatmap, a WTS2 checkpoint, a
 picks file or a config file, the command must end with exit 0 (the damage was
 harmless), 3 (config error) or 4 (data error): never with an uncaught
 exception or a MemoryError.
@@ -27,7 +27,6 @@ class.blob.detect_threshold = 0.5
 class.blob.match_radius_tau = 40.0
 class.blob.metric_weight = 1.0
 """
-NET = ("--variant", "A", "--widths", "4,4,4", "--decoder-width", "4")
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +54,7 @@ def _commands(work, damaged, kind):
     picks = str(damaged if kind == "picks" else work / "scene.picks")
     out = str(work / "out")
     commands = {
-        "infer": ["infer", wts, "--config", cfg, *NET, "--volume", vol, "--out", out + ".hmc"],
+        "infer": ["infer", wts, "--config", cfg, "--volume", vol, "--out", out + ".hmc"],
         "pick": ["pick", "--config", cfg, "--heatmap", hmc, "--out", out + ".picks"],
         "eval": ["eval", "--config", cfg, "--pred", picks, "--gt", str(work / "scene.picks")],
         "rasterize": ["rasterize", "--config", cfg, "--picks", picks, "--dims", "8", "16", "16",
@@ -68,8 +67,9 @@ def _commands(work, damaged, kind):
 
 @st.composite
 def _damage(draw, data: bytes):
-    """Truncate, overwrite or insert up to four bytes; positions favour the header."""
-    pos = draw(st.one_of(st.integers(0, min(40, len(data))), st.integers(0, len(data))))
+    """Truncate, overwrite or insert up to four bytes; positions favour the header
+    (a WTS2 header with its config text is about 56 bytes)."""
+    pos = draw(st.one_of(st.integers(0, min(64, len(data))), st.integers(0, len(data))))
     how = draw(st.sampled_from(["truncate", "overwrite", "insert"]))
     if how == "truncate":
         return data[:pos]

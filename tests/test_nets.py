@@ -10,7 +10,7 @@ import pytest
 from helpers import append_wts_block, assert_same_bytes, materialized_upsamples, per_tap
 from tomopick import layers as L
 from tomopick import nets
-from tomopick.cli import _net_config, build_parser
+from tomopick.cli import _window_depth
 from tomopick.config import PipelineConfig
 
 RNG = np.random.default_rng(31)
@@ -250,7 +250,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     net = nets.build_net(cfg)
     path = tmp_path / "net.wts"
     nets.save_weights(path, net)
-    state = nets.load_weights(path, cfg)
+    stored, state = nets.load_weights(path)
+    assert nets.config_text(stored) == nets.config_text(cfg)
     params = net.named_params()
     assert set(state) == set(params)
     for k in params:
@@ -258,11 +259,24 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 def test_checkpoint_config_hash_guard(tmp_path):
+    """A config given to `load_net` must match the stored one on every field but seed and dtype."""
     net = nets.build_net(tiny_a())
     path = tmp_path / "net.wts"
     nets.save_weights(path, net)
-    with pytest.raises(nets.CheckpointError):
-        nets.load_weights(path, tiny_a(widths=(3, 4, 6)))
+    with pytest.raises(nets.CheckpointError, match="different net config"):
+        nets.load_net(path, tiny_a(widths=(3, 4, 6)))
+    loaded = nets.load_net(path, tiny_a(seed=9, dtype="float64"))
+    assert loaded.named_params()["stem.weight"].dtype == np.float64
+
+
+@pytest.mark.parametrize("variant, strided", [("A", False), ("A", True), ("B", False)])
+@pytest.mark.parametrize("widths", [(1, 1, 1, 1), (3, 4, 5, 6), (2, 7, 1, 9)])
+@pytest.mark.parametrize("decoder_width", [1, 2, 7])
+@pytest.mark.parametrize("class_count", [1, 3])
+def test_param_count_counts_the_built_net(variant, strided, widths, decoder_width, class_count):
+    cfg = nets.NetConfig(variant=variant, in_depth=8, window_hw=16, widths=widths, decoder_width=decoder_width,
+                         class_count=class_count, strided_depth_pool=strided)
+    assert nets.param_count(cfg) == sum(a.size for a in nets.build_net(cfg).named_params().values())
 
 
 def test_loaded_net_reproduces_outputs(tmp_path):
@@ -276,7 +290,7 @@ def test_loaded_net_reproduces_outputs(tmp_path):
     np.testing.assert_array_equal(net2.forward(x), y)
 
 
-# Committed WTS1 checkpoints of freshly initialised tiny nets, each with one
+# Committed WTS2 checkpoints of freshly initialised tiny nets, each with one
 # forward output; `tests/data/make_net_fixtures.py` writes them.
 DATA = Path(__file__).parent / "data"
 FIXTURES = {
@@ -293,7 +307,8 @@ def fixture_input():
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_committed_checkpoint_pins_init_and_outputs(name):
     cfg = FIXTURES[name]
-    state = nets.load_weights(DATA / f"net_{name}.wts", cfg)
+    stored, state = nets.load_weights(DATA / f"net_{name}.wts")
+    assert nets.config_text(stored) == nets.config_text(cfg)
     params = nets.build_net(cfg).named_params()
     assert set(state) == set(params)
     for k in params:
@@ -301,6 +316,9 @@ def test_committed_checkpoint_pins_init_and_outputs(name):
         assert state[k].tobytes() == params[k].tobytes(), k
     ref = np.load(DATA / f"net_{name}.out.npy")
     y = nets.load_net(DATA / f"net_{name}.wts", cfg).forward(fixture_input())
+    np.testing.assert_allclose(y, ref, rtol=0, atol=1e-6)
+    # With no config given, the net is built from the one the checkpoint stores.
+    y = nets.load_net(DATA / f"net_{name}.wts").forward(fixture_input())
     np.testing.assert_allclose(y, ref, rtol=0, atol=1e-6)
 
 
@@ -310,7 +328,7 @@ def test_checkpoint_truncation_rejected(tmp_path):
     nets.save_weights(path, net)
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(nets.CheckpointError):
-        nets.load_weights(path, tiny_a())
+        nets.load_weights(path)
 
 
 def test_checkpoint_repeated_name_rejected(tmp_path):
@@ -320,12 +338,14 @@ def test_checkpoint_repeated_name_rejected(tmp_path):
     nets.save_weights(path, net)
     append_wts_block(path, "bott.bias", np.full(net.named_params()["bott.bias"].shape, 7.0))
     with pytest.raises(nets.CheckpointError, match="parameter 'bott.bias' repeated"):
-        nets.load_weights(path, tiny_a())
+        nets.load_weights(path)
 
 
 def _cli_default_net(variant):
-    args = build_parser().parse_args(["train", "--data", "d", "--out", "m.wts", "--variant", variant])
-    return _net_config(args, PipelineConfig())
+    """The net `train --variant <variant>` builds under the default config."""
+    cfg = PipelineConfig()
+    return nets.NetConfig(variant=variant, in_depth=_window_depth(variant, cfg), window_hw=cfg.window,
+                          class_count=len(cfg.classes))
 
 
 def test_config_hash_keeps_its_values():

@@ -157,7 +157,7 @@ def test_last_maximum_filter_result_is_the_cube_max(monkeypatch):
     results = []
 
     def recorder(*args, **kwargs):
-        results.append(ndimage.maximum_filter(*args, **kwargs))
+        results.append(ndimage.maximum_filter(*args, **kwargs, mode="nearest"))
         return results[-1]
 
     monkeypatch.setattr(postproc, "maximum_filter", recorder)
@@ -189,8 +189,22 @@ def test_maximum_filter_matches_scipy_nearest(seed):
                 assert np.array_equal(view, before)
     with pytest.raises(ValueError):
         postproc.maximum_filter(np.zeros(3), 2)
-    with pytest.raises(ValueError):
-        postproc.maximum_filter(np.zeros(3), 3, mode="reflect")
+
+
+def test_channel_below_the_threshold_runs_no_filter(monkeypatch):
+    """A channel whose max is below min_value has no peak and runs no filter
+    pass. A NaN makes the max NaN, which compares False, so a channel holding
+    one still runs the filters and keeps its peak above the threshold."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("maximum_filter called")
+
+    monkeypatch.setattr(postproc, "maximum_filter", refuse)
+    assert local_maxima(np.zeros((48, 64, 64), dtype=np.float32), 7, min_value=0.5) == []
+    assert local_maxima(np.full((2, 3, 4), 0.25), 3, min_value=0.5) == []
+    monkeypatch.undo()
+    channel = np.zeros((8, 16, 16), dtype=np.float32)
+    channel[1, 2, 3], channel[5, 6, 7] = np.nan, 0.75
+    assert local_maxima(channel, 7, min_value=0.5) == [((5, 6, 7), 0.75)]
 
 
 def test_nan_is_never_a_peak_and_never_suppresses_a_neighbour():

@@ -82,3 +82,10 @@ def test_bench_pairs_summary_counts_wins_and_medians():
     assert fbeta.endswith("change +0.0%  B better in 0 of 4 pairs, 4 ties")
     assert lines == "src_lines 2438 → 2425"
     assert bench.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_toy_pipeline_runs_the_cli_from_a_checkout_that_is_not_installed(monkeypatch, capfd):
+    """The toy pipeline's child processes import the package from `src/`, with no PYTHONPATH set."""
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    load_script("run_toy_pipeline").cli("plan", "--dims", "16", "64", "64")
+    assert "Z windows: 1 (window 16" in capfd.readouterr().out

@@ -328,7 +328,7 @@ def test_tiled_inference_constant_predictor():
 
 
 def test_flat_mask_is_uniform():
-    """Edge floor 1, the no-blend-weight ablation, gives exactly uniform weights."""
+    """Edge floor 1, the uniform-weight ablation (`--edge-floor 1`), gives exactly uniform weights."""
     for window in ((3, 4, 5), (16, 128, 128), (1, 7, 2)):
         m = blend_mask(window, 1.0)
         assert m.dtype == np.float64

@@ -40,8 +40,6 @@ class.{0}.detect_threshold = 0.00001
 class.{0}.match_radius_tau = 20.0
 class.{0}.metric_weight = 1.0
 """
-NET_FLAGS = {"A": ("--widths", "4,4,4", "--decoder-width", "4"),
-             "B": ("--widths", "4,4,4,4", "--decoder-width", "4")}
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +86,7 @@ def test_valid_unusual_inputs_run_through_the_cli(setups, variant, classes, dims
              "--counts", ",".join(f"{n}={c}" for n, c in zip(names, counts)),
              "--out-volume", vol, "--out-picks", gt)
         _run("infer", *[ckpts[variant]] * models, "--config", cfg, "--variant", variant,
-             *NET_FLAGS[variant], "--volume", vol, "--out", hm)
+             "--volume", vol, "--out", hm)
         assert read_heatmap(hm).data.shape == (classes, *dims)
         _run("pick", "--config", cfg, "--heatmap", hm, "--out", pred)
         _run("eval", "--config", cfg, "--pred", pred, "--gt", gt)
