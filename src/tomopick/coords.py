@@ -56,7 +56,7 @@ class PickRecord:
     score: float | None = None
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
             raise ValueError("pick coordinates must be finite")
 
 

@@ -31,22 +31,25 @@ def match_class(
     gts: list[tuple[float, float, float]],
     tau: float,
 ) -> MatchResult:
-    """Greedy matching (see above). Each prediction is measured only against
-    the ground truths in its cell's 3x3x3 block. Cells are a little wider than
-    tau, and float floor division is exact, so a pair whose rounded distance
-    is tau still lies in one cell or two adjacent ones."""
+    """Greedy matching (see above). The larger side is put in a grid of
+    cells, and each point of the smaller side is measured only against the
+    points in its cell's 3x3x3 block. Cells are a little wider than tau, and
+    float floor division is exact, so a pair whose rounded distance is tau
+    still lies in one cell or two adjacent ones."""
     if tau <= 0:
         raise ValueError("tau must be > 0")
     side = tau * (1 + 1e-9)
+    swap = len(preds) > len(gts)
     cells = defaultdict(list)
-    for gi, g in enumerate(gts):
-        cells[tuple(c // side for c in g)].append(gi)
+    for i, point in enumerate(preds if swap else gts):
+        cells[tuple(c // side for c in point)].append(i)
     candidates = []
-    for pi, p in enumerate(preds):
-        cx, cy, cz = (c // side for c in p)
+    for j, point in enumerate(gts if swap else preds):
+        cx, cy, cz = (c // side for c in point)
         for dx, dy, dz in _NEIGHBOURS:
-            for gi in cells.get((cx + dx, cy + dy, cz + dz), ()):
-                d = math.dist(p, gts[gi])
+            for i in cells.get((cx + dx, cy + dy, cz + dz), ()):
+                pi, gi = (i, j) if swap else (j, i)
+                d = math.dist(preds[pi], gts[gi])
                 if d <= tau:
                     candidates.append((d, pi, gi))
     candidates.sort()

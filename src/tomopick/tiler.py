@@ -13,6 +13,17 @@ is written, and an ensemble's last model folds the other models' heatmaps in at
 each flush. Peak memory for N models is max(1, N - 1) float32 heatmaps of the
 kept region plus a slab of O(C * (z_window + z_stride) * H * W), and the
 plan's coverage of the volume is checked before the first window runs.
+
+The windows of one x-row, the consecutive windows of the plan that share a z
+and a y origin, are summed together, one block of window planes at a time:
+each block of the slab, about `_BLOCK_BYTES` of it, takes every channel and
+every window of the row (in x order) while it is still in cache, where one window
+at a time would evict it before its x-neighbour, which overlaps it, arrives
+(loop blocking: Lam, Rothberg and Wolf, ASPLOS 1991). Each voxel lies in one
+plane, so it still receives its windows' terms in plan order. A row is summed
+as soon as its last window arrives, so with one worker no prediction is held
+while the next window runs; with N workers, at most one x-row plus 2N windows
+are in flight.
 """
 
 from __future__ import annotations
@@ -28,6 +39,15 @@ import numpy as np
 from .volgrid import Heatmap, Volume3D
 
 DEFAULT_EDGE_FLOOR = 0.01
+# Slab bytes, planes * window height * padded width float64s, that one block
+# of `aggregate`'s row loop spans (at least one plane, at most z_window).
+# Sweep, scripts/aggregate_profile.py (medians of 9 calls, median of 5 rounds,
+# 2-core VM), oracle_dense / wide ms: 256 KiB 1151 / 572, 512 KiB 1190 / 538,
+# 1 MiB 1085 / 534, whole window 1228 / 619 (wide's plane is 656 KiB, so it
+# runs one plane below 1.3 MiB); then oracle_dense alone, 6 rounds: 256 KiB
+# 1452, 512 KiB 1168, 1 MiB 1405. One window at a time against 512 KiB, 4
+# alternating rounds on a busier VM: 2292 -> 1648 / 1029 -> 786.
+_BLOCK_BYTES = 512 * 1024
 
 Predictor = Callable[[np.ndarray], np.ndarray]  # (d, h, w) window -> (C, d, h, w)
 
@@ -154,20 +174,26 @@ def aggregate(
     # The slab holds rows [base, base + depth) of the volume.
     depth = min(d, wz + max((b - a for a, b in zip(zs, zs[1:])), default=0))
     den = np.zeros((depth, h, w), dtype=np.float64)
-    num = prod = out = quot = None
+    planes = min(max(_BLOCK_BYTES // (wy * w * 8), 1), wz)
+    num = buf = out = quot = None
     base = 0
+    row = []  # (origin, prediction) pairs of the x-row being gathered
 
     def flush(rows):
         nonlocal base
         if den[:rows].min() <= 0.0:
             raise ValueError("window plan leaves voxels uncovered")
         # `ensemble`'s arithmetic on the kept region, this model's float32
-        # quotient last; one model divides by 1, which is exact. The flushed
-        # numerator rows hold the sum: the slide below overwrites them. Rows
+        # quotient last. One model divides its sum straight into the output,
+        # the same bytes as its quotient divided by 1. An ensemble's sum goes
+        # into the flushed numerator rows: the slide below overwrites them. Rows
         # [lo, hi) are the flushed rows that `keep` holds.
         lo, hi = (min(max(r, kz.start), kz.stop) for r in (base, base + rows))
         slab, kept = slice(lo - base, hi - base), slice(lo - kz.start, hi - kz.start)
         for c, acc in enumerate(num[:, slab, ys, xs]):
+            if not members:
+                np.divide(acc, den[slab, ys, xs], out=out[c, kept], casting="same_kind")
+                continue
             np.divide(acc, den[slab, ys, xs], out=quot[: hi - lo], casting="same_kind")
             parts = [hm.data[c, kept] for hm in members] + [quot[: hi - lo]]
             acc[...] = parts[0]
@@ -185,31 +211,45 @@ def aggregate(
                 part[i : i + k] = part[i + rows : i + rows + k]
         base += rows
 
-    def consume(origin, pred):
-        nonlocal num, prod, out, quot
+    def add_row():
+        """Sum the gathered x-row into the slab, `planes` window planes at a
+        time (see the module docstring)."""
+        nonlocal num, buf, out, quot
+        (z, y, _), first = row[0]
         if num is None:
-            shape = (pred.shape[0], len(kz), *den[0, ys, xs].shape)
+            shape = (first.shape[0], len(kz), *den[0, ys, xs].shape)
             if any(hm.data.shape != shape for hm in members):
                 raise ValueError("ensemble inputs must share shape")
-            num = np.zeros((pred.shape[0], depth, h, w), dtype=np.float64)
-            prod = np.empty(pred.shape[1:], dtype=np.float64)
+            num = np.zeros((first.shape[0], depth, h, w), dtype=np.float64)
+            buf = np.empty((planes, wy, wx), dtype=np.float64)
             out = members[0].data if members else np.empty(shape, dtype=np.float32)
-            quot = np.empty((depth, *shape[2:]), dtype=np.float32)
-        z, y, x = origin
+            quot = np.empty((depth, *shape[2:]), dtype=np.float32) if members else None
+        if any(pred.shape[0] != num.shape[0] for _, pred in row):
+            raise ValueError("predictor channel count changed between windows")
         if z > base:
             flush(z - base)
-        zb = z - base
-        for c in range(pred.shape[0]):
-            np.multiply(mask, pred[c], out=prod)
-            num[c, zb : zb + wz, y : y + wy, x : x + wx] += prod
-        den[zb : zb + wz, y : y + wy, x : x + wx] += mask
+        for p in range(0, wz, planes):
+            q = min(p + planes, wz)
+            zb = slice(z - base + p, z - base + q)
+            for c in range(num.shape[0]):
+                for (_, _, x), pred in row:
+                    np.multiply(mask[p:q], pred[c, p:q], out=buf[: q - p])
+                    num[c, zb, y : y + wy, x : x + wx] += buf[: q - p]
+            for (_, _, x), _ in row:
+                den[zb, y : y + wy, x : x + wx] += mask[p:q]
+        row.clear()
+
+    def consume(origin, pred):
+        row.append((origin, pred))
+        if len(row) == len(plan.origins_x):
+            add_row()
 
     if workers <= 1:
         for origin in origins:
             consume(origin, run(origin))
     else:
-        # At most 2 * workers windows are in flight, so predictions cannot
-        # pile up ahead of the serial consumer.
+        # At most the gathered row plus 2 * workers windows are in flight, so
+        # predictions cannot pile up ahead of the serial consumer.
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pending = collections.deque()
             for origin in origins:

@@ -144,18 +144,34 @@ def _points(draw, n, tau, scale):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), tau=st.floats(1e-3, 1e4), scale=st.sampled_from((1.0, 3.0, 1e3)))
-def test_grid_matching_equals_the_pairwise_loop(data, tau, scale):
+@given(data=st.data(), tau=st.floats(1e-3, 1e4), scale=st.sampled_from((1.0, 3.0, 1e3)),
+       larger=st.sampled_from(("preds", "gts")))
+def test_grid_matching_equals_the_pairwise_loop(data, tau, scale, larger):
     """Duplicates, pairs exactly tau apart along an axis (which float rounding
     puts on either side of tau), negative coordinates and tau from 1e-3 to 1e4:
     the same MatchResult, distances and order included, as the loop over all
-    pairs."""
+    pairs. `larger` names the side that gets the longer list, so the grid
+    indexes the truths in some examples and the predictions in others."""
     scale *= tau
     preds = _points(data.draw, 12, tau, scale)
     gts = _points(data.draw, 12, tau, scale)
     if gts and data.draw(st.booleans()):  # predictions near the truths
         preds += [tuple(c + data.draw(st.sampled_from((-tau, 0.0, tau / 2, tau))) for c in g) for g in gts]
+    gts, preds = sorted((preds, gts), key=len)[:: 1 if larger == "preds" else -1]
     assert match_class(preds, gts, tau) == brute_match_class(preds, gts, tau)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_grid_matching_with_either_side_larger(swap):
+    """Three truths and one prediction, then the same points with the sides
+    swapped: either side may be the one put in the grid."""
+    few = [(0.4, 0.0, 0.0)]
+    many = [(0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (0.5, 0.0, 0.0)]
+    preds, gts = (many, few) if swap else (few, many)
+    m = match_class(preds, gts, 1.0)
+    assert m == brute_match_class(preds, gts, 1.0)
+    assert (m.tp, m.fp, m.fn) == ((1, 2, 0) if swap else (1, 0, 2))
+    assert m.pairs == (((2, 0) if swap else (0, 2)) + (math.dist((0.4, 0.0, 0.0), (0.5, 0.0, 0.0)),),)
 
 
 def test_weighted_score_example():

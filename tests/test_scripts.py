@@ -52,6 +52,17 @@ def test_nms_profile_runs_at_a_tiny_size():
     assert [line["peaks"] for line in lines][::2] == [1, 0]
 
 
+def test_aggregate_profile_runs_at_a_tiny_size():
+    """One line per geometry with a time and the heatmap's digest, each
+    geometry at an eighth of its lengths; no timing is asserted."""
+    argv = [sys.executable, str(SCRIPTS / "aggregate_profile.py"), "--repeats", "1", "--divide", "8"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=60).stdout
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [(line["geometry"], line["dims"], line["window"]) for line in lines] == [
+        ("oracle_dense", [6, 32, 32], [2, 8, 8]), ("wide", [4, 82, 82], [2, 16, 16])]
+    assert all(line["median_ms"] > 0 and len(line["sha256"]) == 64 for line in lines)
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

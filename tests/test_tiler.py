@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tomopick import tiler
 from tomopick.tiler import (
     DEFAULT_EDGE_FLOOR,
     WindowPlan,
@@ -162,6 +163,20 @@ def test_aggregate_shape_mismatch_rejected():
         aggregate(lambda w: np.zeros((1, 2, 2, 2)), vol, plan, blend_mask((4, 8, 8)))
 
 
+def test_aggregate_rejects_a_window_with_another_channel_count():
+    """The second window of the first x-row has two channels, the first one."""
+    vol = Volume3D(np.zeros((4, 8, 8), dtype=np.float32))
+    plan = WindowPlan.build(vol.dims, (4, 4, 4), (4, 4, 4))
+    calls = []
+
+    def predict(window):
+        calls.append(window)
+        return np.zeros((len(calls),) + window.shape)
+
+    with pytest.raises(ValueError, match="channel count changed"):
+        aggregate(predict, vol, plan, blend_mask((4, 4, 4)))
+
+
 def test_aggregate_rejects_non_finite_window_at_once():
     vol = Volume3D(np.zeros((4, 8, 8), dtype=np.float32))
     plan = WindowPlan.build(vol.dims, (4, 4, 4), (4, 4, 4))
@@ -246,16 +261,57 @@ def _axis(draw, lo=1, hi=24):
 )
 def test_aggregate_streams_bit_identical_to_full_volume(axes, channels, edge_floor, seed):
     dims, window, strides = (tuple(a[i] for a in axes) for i in range(3))
-    vol = Volume3D(np.random.default_rng(seed).random(dims).astype(np.float32))
-    plan = WindowPlan.build(dims, window, strides)
-    mask = blend_mask(window, edge_floor)
 
     def predict(win):
         return np.stack([np.sin(win * (c + 1)) for c in range(channels)])
 
+    _assert_aggregate_is_full_volume(dims, window, strides, blend_mask(window, edge_floor), predict, seed)
+
+
+def _assert_aggregate_is_full_volume(dims, window, strides, mask, predict, seed):
+    vol = Volume3D(np.random.default_rng(seed).random(dims).astype(np.float32))
+    plan = WindowPlan.build(dims, window, strides)
     want = _full_volume_aggregate(predict, vol, plan, mask).tobytes()
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         assert aggregate(predict, vol, plan, mask, workers=workers).data.tobytes() == want
+
+
+def _order_sensitive(channels):
+    """Each window's terms are +-2**60 or below 0.3 in size, by the voxel's
+    place in the window. Under uniform weights a voxel's float64 sum then
+    depends on the order of its terms: (B + s) - B is 0, (B - B) + s is s.
+    So a term added out of plan order, like a dropped one, changes the
+    heatmap."""
+
+    def predict(win):
+        i, j, k = np.indices(win.shape)
+        t = np.stack([np.sin(3 * (c + 1) * win + 0.7 * i + 1.3 * j + 1.9 * k) for c in range(channels)])
+        return np.where(t > 0.3, 2.0**60, np.where(t < -0.3, -(2.0**60), t))
+
+    return predict
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axes=st.tuples(_axis(), _axis(hi=12), _axis(hi=12)),
+    channels=st.integers(1, 3),
+    planes=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+)
+# Blocks of 2 planes with a partial last one, clamped last origins on every
+# axis, and rows of four windows; then rows of one window.
+@example(axes=((10, 5, 2), (9, 4, 3), (11, 4, 3)), channels=2, planes=2, seed=0)
+@example(axes=((7, 3, 2), (9, 4, 3), (5, 5, 5)), channels=1, planes=2, seed=1)
+def test_aggregate_in_blocks_of_few_planes_bit_identical_to_full_volume(axes, channels, planes, seed):
+    """The row loop with a byte budget of 1 or 2 planes of the slab, and
+    terms whose sums expose a dropped or reordered term."""
+    dims, window, strides = (tuple(a[i] for a in axes) for i in range(3))
+    budget, tiler._BLOCK_BYTES = tiler._BLOCK_BYTES, planes * window[1] * dims[2] * 8
+    try:
+        _assert_aggregate_is_full_volume(dims, window, strides, blend_mask(window, 1.0),
+                                         _order_sensitive(channels), seed)
+    finally:
+        tiler._BLOCK_BYTES = budget
 
 
 def _aggregate_peak(workers, c=4, d=64, hw=64, window=(8, 32, 32), strides=(4, 16, 16)):
